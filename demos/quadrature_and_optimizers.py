@@ -3,7 +3,7 @@
 Three independent routes compute the same average fidelity:
 
   1. closed forms (completing Gaussian squares; gain strategies only),
-  2. polar product-rule quadrature (any prior x strategy pair),
+  2. polar quadrature, exact in the angle (any prior x strategy pair),
   3. Monte Carlo simulation of the physical channel.
 
 This script shows them agreeing, exercises the inside/outside split of the

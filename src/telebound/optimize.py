@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .bounds import BoundResult, gain_fidelity
-from .core import Gain, GaussianIso, Prior, RadialCurve, Strategy
-from .quadrature import QuadratureSpec, _SliceRule, _alpha_cut, _polar_quad, auto_spec, average_fidelity_quad
+from .core import Gain, Prior, RadialCurve, Strategy
+from .quadrature import QuadratureSpec, _SliceRule, _alpha_cut, _polar_quad
 
 __all__ = [
     "OptimizationReport",
@@ -54,47 +54,65 @@ class OptimizationReport:
     converged: bool = True
 
 
-def _golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section search for a maximum on [lo, hi].
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """Golden-section search for the maxima of f on the brackets [lo, hi],
+    elementwise and in lockstep.
 
-    Returns (x_best, f_best, evaluations, final bracket width). The step
-    count is fixed by the bracket and tolerance, so the search is exactly
-    reproducible.
+    f maps an array of points, shaped like lo, to their values. Returns
+    arrays (x_best, f_best, evaluations, final bracket width). Each element
+    takes the step count fixed by its own bracket and the tolerance and sees
+    the same arithmetic as a search on its own, so the search is exactly
+    reproducible whatever else shares the batch.
     """
-    evals = 0
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
     h = hi - lo
-    if h <= tol:
-        x = 0.5 * (lo + hi)
-        return x, f(x), 1, h
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    steps = np.array([math.ceil(math.log(tol / w) / math.log(_INV_PHI)) if w > tol else 0
+                      for w in h.flat], dtype=int).reshape(h.shape)
     c = lo + _INV_PHI2 * h
     d = lo + _INV_PHI * h
     yc = f(c)
     yd = f(d)
-    evals += 2
-    for _ in range(steps - 1):
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            h = _INV_PHI * h
-            c = lo + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            lo, c, yc = c, d, yd
-            h = _INV_PHI * h
-            d = lo + _INV_PHI * h
-            yd = f(d)
-        evals += 1
-    if yc > yd:
-        return c, yc, evals, d - lo
-    return d, yd, evals, hi - c
+    for k in range(1, int(steps.max(initial=0))):
+        live = steps > k
+        left = live & (yc > yd)
+        right = live & ~left
+        lo = np.where(right, c, lo)
+        hi = np.where(left, d, hi)
+        h = np.where(live, _INV_PHI * h, h)
+        x = np.where(left, lo + _INV_PHI2 * h, lo + _INV_PHI * h)
+        y = f(x)
+        # Moving left, the old c becomes d and x the new c; moving right, the
+        # old d becomes c and x the new d.
+        c, d = np.where(left, x, np.where(right, d, c)), np.where(right, x, np.where(left, c, d))
+        yc, yd = np.where(left, y, np.where(right, yd, yc)), np.where(right, y, np.where(left, yc, yd))
+    better = yc > yd
+    x_best = np.where(better, c, d)
+    f_best = np.where(better, yc, yd)
+    width = np.where(better, d - lo, hi - c)
+    evals = steps + 1
+    flat = steps == 0
+    if flat.any():
+        # A bracket already within tol is settled by its midpoint.
+        mid = 0.5 * (lo + hi)
+        x_best = np.where(flat, mid, x_best)
+        f_best = np.where(flat, f(mid), f_best)
+        width = np.where(flat, h, width)
+        evals = np.where(flat, 1, evals)
+    return x_best, f_best, evals, width
 
 
-def _grid_bracket(f, lo: float, hi: float, n: int = 37):
-    """Coarse scan that brackets the maximum before the golden section."""
+def _grid_bracket(f, lo: np.ndarray, hi: np.ndarray, n: int = 37):
+    """Coarse scan that brackets the maximum before the golden section.
+
+    Scans n points of each bracket [lo, hi] in one call of f, on an array of
+    shape (n,) + lo.shape; returns the narrowed brackets and n.
+    """
     xs = np.linspace(lo, hi, n)
-    ys = [f(float(x)) for x in xs]
-    i = int(np.argmax(ys))
-    return float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)]), n
+    i = np.argmax(f(xs), axis=0)
+    below = np.take_along_axis(xs, np.maximum(i - 1, 0)[None], axis=0)[0]
+    above = np.take_along_axis(xs, np.minimum(i + 1, n - 1)[None], axis=0)[0]
+    return below, above, n
 
 
 def optimize_gain(prior: Prior, tol: float = 1e-6) -> OptimizationReport:
@@ -106,13 +124,12 @@ def optimize_gain(prior: Prior, tol: float = 1e-6) -> OptimizationReport:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
 
-    def objective(g: float) -> float:
-        return gain_fidelity(prior, g)
-
-    lo, hi, grid_evals = _grid_bracket(objective, 0.0, GAIN_SEARCH_MAX)
+    objective = np.vectorize(lambda g: gain_fidelity(prior, g), otypes=[float])
+    lo, hi, grid_evals = _grid_bracket(objective, np.zeros(1), np.full(1, GAIN_SEARCH_MAX))
     g_star, f_star, evals, width = _golden_max(objective, lo, hi, tol)
-    return OptimizationReport(best_strategy=Gain(g_star), best_value=f_star,
-                              evaluations=grid_evals + evals, convergence_gap=width)
+    return OptimizationReport(best_strategy=Gain(float(g_star[0])), best_value=float(f_star[0]),
+                              evaluations=grid_evals + int(evals[0]),
+                              convergence_gap=float(width[0]))
 
 
 def _curve_node_radii(prior: Prior, n_nodes: int) -> np.ndarray:
@@ -127,9 +144,10 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
                          max_sweeps: int = 12) -> OptimizationReport:
     """Best tabulated radial guess curve for `prior`.
 
-    Coordinate ascent over the node guess radii, in ascending node order.
-    Each inner step maximizes the single-outcome slice integral at that
-    node's radius, which is exact up to the interpolation between nodes; the
+    Coordinate ascent over the node guess radii. Each sweep maximizes the
+    single-outcome slice integral at every node's radius, which is exact up
+    to the interpolation between nodes; the slices do not depend on each
+    other, so all nodes are bracketed and golden-searched in lockstep. The
     full objective is then re-evaluated by the quadrature engine and sweeps
     stop once the improvement drops to tol. Raises ConvergenceError with the
     best report so far if the sweep cap is hit first.
@@ -143,11 +161,17 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
 
     radii = _curve_node_radii(prior, n_nodes)
     if spec is None:
-        spec = auto_spec(prior, Gain(GAIN_SEARCH_MAX))
+        spec = QuadratureSpec()
 
+    # The first node sits at the origin, where the best guess is the origin;
+    # the other nodes' slices are independent, so they are searched together.
+    r = radii[1:]
     slice_rule = _SliceRule(prior, spec)
+
+    def slices(rho: np.ndarray) -> np.ndarray:
+        return slice_rule(r, rho)
+
     b_hi = prior.support_radius(spec.truncation_tol / 2.0)
-    beta_tail = math.exp(-prior.lam * b_hi**2) if isinstance(prior, GaussianIso) else 0.0
     a_hi = _alpha_cut(b_hi, spec.truncation_tol / 2.0)
 
     def full_value(curve: RadialCurve) -> float:
@@ -167,15 +191,11 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     gap = math.inf
     converged = False
     for _ in range(max_sweeps):
-        for i, r in enumerate(radii):
-            if r == 0.0:
-                guesses[i] = 0.0
-                continue
-            hi = max(GAIN_SEARCH_MAX * r, guesses[i] + 1.0)
-            lo_b, hi_b, grid_evals = _grid_bracket(lambda rho: slice_rule(r, rho), 0.0, hi, n=25)
-            rho_star, _, ev, _ = _golden_max(lambda rho: slice_rule(r, rho), lo_b, hi_b, tol * 1e-2)
-            guesses[i] = rho_star
-            evals += grid_evals + ev
+        hi = np.maximum(GAIN_SEARCH_MAX * r, guesses[1:] + 1.0)
+        lo_b, hi_b, grid_evals = _grid_bracket(slices, np.zeros_like(hi), hi, n=25)
+        rho_star, _, ev, _ = _golden_max(slices, lo_b, hi_b, tol * 1e-2)
+        guesses[1:] = rho_star
+        evals += grid_evals * r.size + int(ev.sum())
         curve = RadialCurve(tuple(zip(radii, guesses)))
         value = full_value(curve)
         evals += 1

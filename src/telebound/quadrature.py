@@ -9,14 +9,18 @@ Scheme
 ------
 Every supported prior and strategy is rotationally symmetric, so the joint
 integrand depends on the two radii (a = |alpha|, b = |beta|) and the relative
-angle only. The engine therefore uses a polar product rule:
+angle t only. The angle is integrated exactly,
 
-  * radial directions: composite Gauss-Legendre panels,
-  * relative angle: equispaced nodes on [0, 2pi), which is spectrally
-    accurate for the periodic integrand.
+    int_0^{2 pi} exp(-z (1 - cos t)) dt = 2 pi i0e(z),
 
-The combined exponent -(a-b)^2 - (rho-b)^2 - 2(a+rho) b (1-cos t) is never
-positive, so the integrand is evaluated without overflow for any radii.
+which leaves one radial kernel
+
+    K(a, rho, b) = exp(-(a-b)^2 - (rho-b)^2) i0e(2 (a + rho) b),   rho = |f(alpha)|,
+
+summed with composite Gauss-Legendre panels in both radial directions. Both
+factors lie in [0, 1], so the kernel is evaluated without overflow for any
+radii. i0e is the exponentially scaled modified Bessel function of order
+zero, evaluated with the Cephes Chebyshev expansions.
 
 Truncation
 ----------
@@ -59,7 +63,44 @@ __all__ = [
 # arbitrarily wide; the analytic limits serve lam -> 0 instead.
 GAUSSIAN_LAMBDA_FLOOR = 1e-6
 
-_CHUNK = 48
+# Kernel points (a, b) evaluated at once; bounds the working set at a few
+# arrays of 8 MiB whatever the radial grid sizes.
+_BLOCK_POINTS = 1 << 20
+
+# Cephes Chebyshev coefficients of i0e: _I0E_SMALL on [0, 8] in the variable
+# z/2 - 2, _I0E_LARGE for z > 8 in 32/z - 2 (scaled by sqrt(z) there).
+_I0E_SMALL = (
+    -4.41534164647933937950e-18, 3.33079451882223809783e-17,
+    -2.43127984654795469359e-16, 1.71539128555513303061e-15,
+    -1.16853328779934516808e-14, 7.67618549860493561688e-14,
+    -4.85644678311192946090e-13, 2.95505266312963983461e-12,
+    -1.72682629144155570723e-11, 9.67580903537323691224e-11,
+    -5.18979560163526290666e-10, 2.65982372468238665035e-9,
+    -1.30002500998624804212e-8, 6.04699502254191894932e-8,
+    -2.67079385394061173391e-7, 1.11738753912010371815e-6,
+    -4.41673835845875056359e-6, 1.64484480707288970893e-5,
+    -5.75419501008210370398e-5, 1.88502885095841655729e-4,
+    -5.76375574538582365885e-4, 1.63947561694133579842e-3,
+    -4.32430999505057594430e-3, 1.05464603945949983183e-2,
+    -2.37374148058994688156e-2, 4.93052842396707084878e-2,
+    -9.49010970480476444210e-2, 1.71620901522208775349e-1,
+    -3.04682672343198398683e-1, 6.76795274409476084995e-1,
+)
+_I0E_LARGE = (
+    -7.23318048787475395456e-18, -4.83050448594418207126e-18,
+    4.46562142029675999901e-17, 3.46122286769746109310e-17,
+    -2.82762398051658348494e-16, -3.42548561967721913462e-16,
+    1.77256013305652638360e-15, 3.81168066935262242075e-15,
+    -9.55484669882830764870e-15, -4.15056934728722208663e-14,
+    1.54008621752140982691e-14, 3.85277838274214270114e-13,
+    7.18012445138366623367e-13, -1.79417853150680611778e-12,
+    -1.32158118404477131188e-11, -3.14991652796324136454e-11,
+    1.18891471078464383424e-11, 4.94060238822496958910e-10,
+    3.39623202570838634515e-9, 2.26666899049817806459e-8,
+    2.04891858946906374183e-7, 2.89137052083475648297e-6,
+    6.88975834691682398426e-5, 3.36911647825569408990e-3,
+    8.04490411014108831608e-1,
+)
 
 
 @dataclass(frozen=True)
@@ -67,26 +108,27 @@ class QuadratureSpec:
     """Resolution and truncation parameters of one quadrature evaluation.
 
     radial_nodes     Gauss-Legendre points per radial panel (>= 8)
-    angular_nodes    equispaced relative-angle nodes (>= 8)
     truncation_tol   target bound on the neglected integrand mass
     panel_width      maximum radial panel width
-    angle_offset     origin shift of the angular rule (results are invariant)
     outer_cut_radius alpha cut; derived from the prior when None and recorded
                      in the result for reproducibility
+
+    The relative angle is integrated in closed form, so there is no angular
+    resolution to choose; angular_nodes reads 1 for reports that list it.
     """
 
     radial_nodes: int = 16
-    angular_nodes: int = 64
     truncation_tol: float = 1e-9
     panel_width: float = 1.0
-    angle_offset: float = 0.0
     outer_cut_radius: Optional[float] = None
+
+    @property
+    def angular_nodes(self) -> int:
+        return 1
 
     def __post_init__(self):
         if self.radial_nodes < 8:
             raise ValueError(f"radial_nodes must be >= 8, got {self.radial_nodes}")
-        if self.angular_nodes < 8:
-            raise ValueError(f"angular_nodes must be >= 8, got {self.angular_nodes}")
         if not (0.0 < self.truncation_tol < 1.0):
             raise ValueError(f"truncation_tol must be in (0, 1), got {self.truncation_tol}")
         if not (math.isfinite(self.panel_width) and self.panel_width > 0.0):
@@ -147,61 +189,88 @@ def _alpha_cut(b_max: float, tol: float) -> float:
     return b_max + math.sqrt(math.log(1.0 / tol)) + 2.0
 
 
-def _strategy_reach(strategy: Strategy, a_hi: float) -> float:
-    """Upper bound on a + rho(a) over [0, a_hi], used to size the angular rule."""
-    grid = np.linspace(0.0, a_hi, 257)
-    return float(np.max(grid + strategy.guess_radius(grid)))
-
-
-def _angular_count(z_max: float, floor: int = 64) -> int:
-    # Relative error of the N-node periodic rule on exp(-z(1-cos t)) decays
-    # like exp(-N^2 / (2 z)); size N for ~1e-12.
-    need = int(math.ceil(math.sqrt(2.0 * max(z_max, 1.0) * math.log(1e12)))) + 8
-    return max(floor, need)
-
-
 def auto_spec(prior: Prior, strategy: Strategy, truncation_tol: float = 1e-9,
               radial_nodes: int = 16) -> QuadratureSpec:
-    """Spec with the angular resolution sized for the given problem.
+    """Spec for integrating `strategy` against `prior`.
 
-    The angular integrand sharpens as 2 (a + rho) b grows, so the node count
-    scales with the square root of that reach; radial panels keep unit width,
-    which Gauss-Legendre resolves to near machine precision here.
+    The relative angle is integrated exactly and unit-width radial panels are
+    resolved to near machine precision by Gauss-Legendre for every supported
+    prior and strategy, so the spec depends on neither; both stay in the
+    signature so existing callers keep working.
     """
-    b_hi = prior.support_radius(truncation_tol / 2.0)
-    a_hi = _alpha_cut(b_hi, truncation_tol / 2.0)
-    z_max = 2.0 * _strategy_reach(strategy, a_hi) * b_hi
-    return QuadratureSpec(radial_nodes=radial_nodes,
-                          angular_nodes=_angular_count(z_max),
-                          truncation_tol=truncation_tol)
+    return QuadratureSpec(radial_nodes=radial_nodes, truncation_tol=truncation_tol)
+
+
+def _chbevl(x: np.ndarray, coef) -> np.ndarray:
+    """Chebyshev series sum by Clenshaw's recurrence, in the operation order
+    of Cephes' chbevl; the three buffers rotate instead of reallocating."""
+    b0 = np.full_like(x, coef[0])
+    b1 = np.zeros_like(x)
+    b2 = np.empty_like(x)
+    for c in coef[1:]:
+        b0, b1, b2 = b2, b0, b1
+        np.multiply(x, b1, out=b0)
+        b0 -= b2
+        b0 += c
+    b0 -= b2
+    b0 *= 0.5
+    return b0
+
+
+def _i0e(z: np.ndarray) -> np.ndarray:
+    """exp(-z) I0(z) for an array z >= 0, elementwise."""
+    out = np.empty_like(z)
+    small = z <= 8.0
+    out[small] = _chbevl(z[small] / 2.0 - 2.0, _I0E_SMALL)
+    large = z[~small]
+    out[~small] = _chbevl(32.0 / large - 2.0, _I0E_LARGE) / np.sqrt(large)
+    return out
+
+
+def _kernel(a: np.ndarray, rho: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K(a, rho, b) = exp(-(a-b)^2 - (rho-b)^2) i0e(2 (a+rho) b), broadcast.
+
+    2 pi K is the relative-angle integral of the fidelity integrand for an
+    outcome at radius a, guessed at radius rho, and an input at radius b.
+    """
+    k = a - b
+    k *= k
+    d = rho - b
+    d *= d
+    k += d
+    np.negative(k, out=k)
+    np.exp(k, out=k)
+    k *= _i0e(2.0 * (a + rho) * b)
+    return k
+
+
+def _kernel_sums(a: np.ndarray, rho: np.ndarray, b: np.ndarray,
+                 b_weight: np.ndarray) -> np.ndarray:
+    """sum_j K(a_i, rho_i, b_j) b_weight_j for 1-D a and rho, in blocks of
+    about _BLOCK_POINTS kernel points.
+
+    einsum sums each row on its own, so a row's value does not depend on the
+    block it shares (a BLAS matrix-vector product can differ in the last bit).
+    """
+    rows = max(1, _BLOCK_POINTS // b.size)
+    out = np.empty(a.size)
+    for i in range(0, a.size, rows):
+        k = _kernel(a[i:i + rows, None], rho[i:i + rows, None], b)
+        out[i:i + rows] = np.einsum("ij,j->i", k, b_weight)
+    return out
 
 
 def _polar_quad(radial_weight: Callable[[np.ndarray], np.ndarray], b_lo: float, b_hi: float,
                 strategy: Strategy, spec: QuadratureSpec, a_hi: float, mult: int) -> float:
-    """Core product-rule sum at `mult` times the spec resolution."""
+    """Radial product-rule sum of 4 pi a b p(b) K at `mult` times the spec
+    resolution."""
     a, a_w = _panel_rule(0.0, a_hi, spec.panel_width, spec.radial_nodes * mult,
                          breaks=_strategy_breaks(strategy))
     b, b_w = _panel_rule(b_lo, b_hi, spec.panel_width, spec.radial_nodes * mult)
     if a.size == 0 or b.size == 0:
         return 0.0
-    n_ang = spec.angular_nodes * mult
-    theta = spec.angle_offset + 2.0 * np.pi * np.arange(n_ang) / n_ang
-    one_minus_cos = 1.0 - np.cos(theta)
-    ang_w = 2.0 * np.pi / n_ang
-
-    rho = strategy.guess_radius(a)
-    b_weight = b_w * b * radial_weight(b)
-
-    total = 0.0
-    for i in range(0, a.size, _CHUNK):
-        ac = a[i:i + _CHUNK]
-        rc = rho[i:i + _CHUNK]
-        base = -((ac[:, None] - b[None, :]) ** 2) - ((rc[:, None] - b[None, :]) ** 2)
-        z = 2.0 * (ac + rc)[:, None] * b[None, :]
-        ex = np.exp(base[:, :, None] - z[:, :, None] * one_minus_cos[None, None, :])
-        angular = ex.sum(axis=2) * ang_w
-        total += float(np.dot(a_w[i:i + _CHUNK] * ac, angular @ b_weight))
-    return 2.0 * total
+    rows = _kernel_sums(a, strategy.guess_radius(a), b, b_w * b * radial_weight(b))
+    return 4.0 * np.pi * float(np.dot(a_w * a, rows))
 
 
 def _evaluate(radial_weight, b_lo, b_hi, strategy, spec, beta_tail) -> QuadResult:
@@ -231,7 +300,7 @@ def average_fidelity_quad(prior: Prior, strategy: Strategy,
     is the mutual validation of the two routes.
     """
     if spec is None:
-        spec = auto_spec(prior, strategy)
+        spec = QuadratureSpec()
     if isinstance(prior, GaussianIso):
         _check_gaussian_floor(prior.lam)
         b_hi = prior.support_radius(spec.truncation_tol / 2.0)
@@ -261,7 +330,7 @@ def restricted_fidelity_quad(lam: float, radius: float, strategy: Strategy, insi
         return (lam / np.pi) * np.exp(-lam * r * r)
 
     if spec is None:
-        spec = auto_spec(GaussianIso(lam), strategy)
+        spec = QuadratureSpec()
     if inside:
         return _evaluate(weight, 0.0, radius, strategy, spec, 0.0)
     b_hi = math.sqrt(math.log(2.0 / spec.truncation_tol) / lam)
@@ -298,9 +367,11 @@ class _SliceRule:
     For a fixed outcome radius a and guess radius rho,
 
         S(a, rho) = (1/pi) int p(beta) exp(-|alpha-beta|^2 - |f-beta|^2) d2beta
+                  = 2 int b p(b) K(a, rho, b) db
 
     with alpha and f on a common ray. Optimizing rho slice by slice is how
-    the guess-curve optimizer works, so the beta nodes are prepared once.
+    the guess-curve optimizer works, so the beta nodes are prepared once and
+    a call evaluates any broadcastable arrays of (a, rho) together.
     """
 
     def __init__(self, prior: Prior, spec: QuadratureSpec):
@@ -311,15 +382,11 @@ class _SliceRule:
         b, b_w = _panel_rule(0.0, b_hi, spec.panel_width, spec.radial_nodes)
         self.b = b
         self.b_weight = b_w * b * prior.radial_density(b)
-        theta = spec.angle_offset + 2.0 * np.pi * np.arange(spec.angular_nodes) / spec.angular_nodes
-        self.one_minus_cos = 1.0 - np.cos(theta)
-        self.ang_w = 2.0 * np.pi / spec.angular_nodes
 
-    def __call__(self, a: float, rho: float) -> float:
-        base = -((a - self.b) ** 2) - ((rho - self.b) ** 2)
-        z = 2.0 * (a + rho) * self.b
-        ex = np.exp(base[:, None] - z[:, None] * self.one_minus_cos[None, :])
-        return float(np.dot(ex.sum(axis=1) * self.ang_w, self.b_weight)) / math.pi
+    def __call__(self, a, rho) -> np.ndarray:
+        a, rho = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(rho, dtype=float))
+        sums = _kernel_sums(a.ravel(), rho.ravel(), self.b, self.b_weight)
+        return 2.0 * sums.reshape(a.shape)
 
 
 def guess_slice_quad(prior: Prior, outcome_radius: float, guess_radius: float,
@@ -329,5 +396,5 @@ def guess_slice_quad(prior: Prior, outcome_radius: float, guess_radius: float,
     if outcome_radius < 0.0 or guess_radius < 0.0:
         raise ValueError("radii must be >= 0")
     if spec is None:
-        spec = auto_spec(prior, Gain(1.0))
-    return _SliceRule(prior, spec)(outcome_radius, guess_radius)
+        spec = QuadratureSpec()
+    return float(_SliceRule(prior, spec)(outcome_radius, guess_radius))

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from telebound import (
@@ -11,7 +14,7 @@ from telebound import (
     optimize_gain,
     optimize_guess_curve,
 )
-from telebound.optimize import GAIN_SEARCH_MAX
+from telebound.optimize import GAIN_SEARCH_MAX, _golden_max
 
 from _oracles import DISK_CURVE_IDEAL, DISK_GAIN_OPTIMA
 
@@ -53,6 +56,49 @@ class TestOptimizeGain:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             optimize_gain(UniformDisk(1.0), tol=0.0)
+
+
+def golden_max_one(f, lo, hi, tol):
+    """One bracket at a time: the reference loop for the lockstep search."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
+    h = hi - lo
+    if h <= tol:
+        x = 0.5 * (lo + hi)
+        return x, f(x), 1, h
+    steps = int(math.ceil(math.log(tol / h) / math.log(inv_phi)))
+    c, d = lo + inv_phi2 * h, lo + inv_phi * h
+    yc, yd = f(c), f(d)
+    for _ in range(steps - 1):
+        h = inv_phi * h
+        if yc > yd:
+            hi, d, yd = d, c, yc
+            c = lo + inv_phi2 * h
+            yc = f(c)
+        else:
+            lo, c, yc = c, d, yd
+            d = lo + inv_phi * h
+            yd = f(d)
+    if yc > yd:
+        return c, yc, steps + 1, d - lo
+    return d, yd, steps + 1, hi - c
+
+
+class TestGoldenSearch:
+    def test_lockstep_matches_one_bracket_at_a_time(self):
+        # brackets of different widths take different step counts; the last
+        # one is already within tol
+        lo = np.array([0.0, -1.0, 0.3, 2.0, 1.0])
+        hi = np.array([1.0, 3.0, 0.31, 9.0, 1.0 + 1e-9])
+        peaks = np.array([0.37, 0.5, 0.305, 8.9, 1.0])
+
+        def f(x):
+            return -np.cos(x - peaks) * (x - peaks) ** 2
+
+        batch = _golden_max(f, lo, hi, 1e-7)
+        for i in range(lo.size):
+            one = golden_max_one(lambda x: float(f(np.full(lo.size, x))[i]), lo[i], hi[i], 1e-7)
+            assert tuple(float(v[i]) for v in batch) == one
 
 
 class TestOptimizeGuessCurve:

@@ -19,9 +19,11 @@ from telebound import (
     disk_gain_fidelity,
     gaussian_gain_fidelity,
     guess_slice_quad,
+    optimal_gain_gaussian,
     restricted_fidelity_quad,
     truncated_gain_fidelity,
 )
+from telebound.quadrature import _i0e, _SliceRule
 
 from _oracles import restricted_gain_closed
 
@@ -54,6 +56,15 @@ class TestOracleAgreement:
     def test_example_values(self):
         assert average_fidelity_quad(GaussianIso(1.0), Gain(0.5)).value == pytest.approx(2 / 3, abs=1e-6)
         assert average_fidelity_quad(UniformDisk(1.0), Gain(0.0)).value == pytest.approx(0.632121, abs=1e-6)
+
+    def test_wide_gaussian_prior(self):
+        # a wide prior: both radial grids reach past 45, where z = 2 (a + rho) b
+        # runs into the thousands and the large-z Bessel expansion dominates
+        lam = 0.01
+        g = optimal_gain_gaussian(lam)
+        res = average_fidelity_quad(GaussianIso(lam), Gain(g))
+        assert abs(res.value - gaussian_gain_fidelity(lam, g)) <= res.error_estimate
+        assert res.error_estimate <= res.spec.truncation_tol
 
     def test_point_like_disk(self):
         res = average_fidelity_quad(UniformDisk(1e-4), Gain(0.0))
@@ -122,20 +133,20 @@ class TestNumericalBehaviour:
         prior, strategy = GaussianIso(1.0), Gain(0.4)
         values = []
         for width in (12.0, 6.0, 3.0):
-            spec = QuadratureSpec(radial_nodes=8, angular_nodes=96, truncation_tol=1e-9,
-                                  panel_width=width)
+            spec = QuadratureSpec(radial_nodes=8, truncation_tol=1e-9, panel_width=width)
             values.append(average_fidelity_quad(prior, strategy, spec).value)
         d1 = abs(values[1] - values[0])
         d2 = abs(values[2] - values[1])
         assert d1 > 1e-12  # coarse enough to measure
         assert d2 <= d1 / 4.0
 
-    def test_angle_offset_invariance(self):
-        spec0 = auto_spec(GaussianIso(1.0), Gain(0.4))
-        spec1 = replace(spec0, angle_offset=0.37)
-        v0 = average_fidelity_quad(GaussianIso(1.0), Gain(0.4), spec0).value
-        v1 = average_fidelity_quad(GaussianIso(1.0), Gain(0.4), spec1).value
-        assert abs(v0 - v1) <= 1e-10
+    def test_i0e_matches_scipy(self):
+        # the exact angular integral rests on this function; cover both
+        # Chebyshev expansions and the branch point z = 8 from each side
+        z = np.concatenate([np.linspace(0.0, 16.0, 20001), np.geomspace(1e-8, 1e5, 20001),
+                            [np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0), 1e5]])
+        ref = i0e(z)
+        assert np.all(np.abs(_i0e(z) - ref) <= 4.0 * np.spacing(ref))
 
     def test_truncation_soundness(self):
         prior, strategy = UniformDisk(1.0), Gain(0.36)
@@ -145,9 +156,10 @@ class TestNumericalBehaviour:
         assert abs(v2 - base.value) < base.spec.truncation_tol
 
     def test_error_estimate_covers_refinement(self):
-        spec = QuadratureSpec(radial_nodes=8, angular_nodes=48, truncation_tol=1e-9)
+        # panels coarse enough that the doubled-resolution pass moves the value
+        spec = QuadratureSpec(radial_nodes=8, truncation_tol=1e-9, panel_width=6.0)
         res = average_fidelity_quad(GaussianIso(0.5), Gain(0.6), spec)
-        refined_spec = QuadratureSpec(radial_nodes=16, angular_nodes=96, truncation_tol=1e-9)
+        refined_spec = QuadratureSpec(radial_nodes=16, truncation_tol=1e-9)
         refined = average_fidelity_quad(GaussianIso(0.5), Gain(0.6), refined_spec)
         assert abs(refined.value - res.value) <= res.error_estimate
 
@@ -171,11 +183,15 @@ class TestNumericalBehaviour:
         with pytest.raises(ValueError):
             QuadratureSpec(radial_nodes=4)
         with pytest.raises(ValueError):
-            QuadratureSpec(angular_nodes=4)
-        with pytest.raises(ValueError):
             QuadratureSpec(truncation_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(panel_width=-1.0)
+        with pytest.raises(ValueError):
+            QuadratureSpec(outer_cut_radius=0.0)
+        # the angle is integrated exactly: no angular resolution to set
+        with pytest.raises(TypeError):
+            QuadratureSpec(angular_nodes=64)
+        assert QuadratureSpec().angular_nodes == 1
 
 
 class TestGuessSlice:
@@ -192,6 +208,15 @@ class TestGuessSlice:
         lam, a, rho = 1.0, 1.5, 0.75
         closed = (lam / (np.pi * (lam + 2.0))) * math.exp((a + rho) ** 2 / (lam + 2.0) - a * a - rho * rho)
         assert guess_slice_quad(GaussianIso(lam), a, rho) == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("prior", [UniformDisk(1.0), GaussianIso(0.05), TruncatedGaussian(0.5, 3.0)])
+    def test_batched_slices_equal_scalar_calls(self, prior):
+        a = np.linspace(0.0, 6.0, 7)[:, None]
+        rho = np.linspace(0.0, 5.0, 11)[None, :]
+        batched = _SliceRule(prior, QuadratureSpec())(a, rho)
+        assert batched.shape == (7, 11)
+        for i, j in np.ndindex(batched.shape):
+            assert batched[i, j] == guess_slice_quad(prior, a[i, 0], rho[0, j])
 
     def test_slice_consistent_with_full_average(self):
         # integrating the slice over outcomes reproduces the full value
