@@ -67,8 +67,9 @@ for eps in (0.1, 0.01, 0.001):
     flag = "FALSE POSITIVE" if rep.verdict == "NONCLASSICAL" else "ok"
     print(f"  epsilon={eps:<6} bound={rep.classical_bound:.4f} classical reach={reach:.4f} "
           f"-> {rep.verdict:<13} {flag}")
-print("  At epsilon = 0.1 the tail is not 'almost 0' and the procedure breaks;")
-print("  keep epsilon at 0.01 or below.")
+print("  At epsilon = 0.1 the tail is not 'almost 0' and the procedure breaks.")
+print("  Smaller epsilon narrows the gap but does not close it: with 1e6 records")
+print("  a classical gain-0.458 channel on R = 2 is certified even at 0.01.")
 
 print()
 print("=" * 72)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Prior, Strategy
+from .core import Prior, Strategy, check_positive
 
 __all__ = [
     "BoundResult",
@@ -49,8 +49,7 @@ def gaussian_bound(lam: float) -> float:
     At lam = 0 this is exactly 1/2, the uniform-plane threshold; it increases
     to 1 as the ensemble concentrates at the origin.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"gaussian_bound requires lam >= 0, got {lam}")
+    check_positive(lam, "lam", zero_ok=True)
     return (1.0 + lam) / (2.0 + lam)
 
 
@@ -62,17 +61,14 @@ def gaussian_gain_fidelity(lam: float, g: float) -> float:
     lam = 0 with g = 1 the underlying integral diverges, which is why
     lam = 0 is rejected here (the limit is served by gaussian_bound).
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"gaussian_gain_fidelity requires lam > 0, got {lam}")
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"gaussian_gain_fidelity requires g >= 0, got {g}")
+    check_positive(lam, "lam")
+    check_positive(g, "g", zero_ok=True)
     return lam / ((lam + 1.0) * (1.0 + g * g) - 2.0 * g)
 
 
 def optimal_gain_gaussian(lam: float) -> float:
     """Gain maximizing gaussian_gain_fidelity: 1 / (1 + lam)."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"optimal_gain_gaussian requires lam > 0, got {lam}")
+    check_positive(lam, "lam")
     return 1.0 / (1.0 + lam)
 
 
@@ -83,10 +79,8 @@ def disk_gain_fidelity(radius: float, g: float) -> float:
     k = (1 - g)^2 / (1 + g^2); the removable singularity at g = 1 has the
     exact value 1/2 for every radius.
     """
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"disk_gain_fidelity requires radius > 0, got {radius}")
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"disk_gain_fidelity requires g >= 0, got {g}")
+    check_positive(radius, "radius")
+    check_positive(g, "g", zero_ok=True)
     if g == 1.0:
         return 0.5
     k = (1.0 - g) ** 2 / (1.0 + g * g)
@@ -100,14 +94,11 @@ def truncated_gain_fidelity(lam: float, radius: float, g: float) -> float:
     lam = 0 reduces to disk_gain_fidelity; g = 1 gives exactly 1/2 for any
     ensemble, since the residual noise is then prior-independent.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"truncated_gain_fidelity requires lam >= 0, got {lam}")
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"truncated_gain_fidelity requires radius > 0, got {radius}")
+    check_positive(lam, "lam", zero_ok=True)
+    check_positive(radius, "radius")
     if lam == 0.0:
         return disk_gain_fidelity(radius, g)
-    if not (math.isfinite(g) and g >= 0.0):
-        raise ValueError(f"truncated_gain_fidelity requires g >= 0, got {g}")
+    check_positive(g, "g", zero_ok=True)
     if g == 1.0:
         return 0.5
     k = (1.0 - g) ** 2 / (1.0 + g * g)
@@ -122,21 +113,16 @@ def select_lambda(radius: float, epsilon: float) -> float:
     By construction tail_mass(select_lambda(R, eps), R) equals eps to
     machine precision.
     """
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"select_lambda requires radius > 0, got {radius}")
+    check_positive(radius, "radius")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"select_lambda requires 0 < epsilon < 1, got {epsilon}")
     return -math.log(epsilon) / radius**2
 
 
 def gain_fidelity(prior: Prior, g: float) -> float:
-    """Closed-form average fidelity of Gain(g) for any supported prior."""
-    from .core import GaussianIso, TruncatedGaussian, UniformDisk
-
-    if isinstance(prior, GaussianIso):
+    """Closed-form average fidelity of Gain(g) for any prior."""
+    # The truncated formula at radius = inf rounds differently from the
+    # whole-plane closed form, so the latter keeps its own expression.
+    if prior.radius == math.inf:
         return gaussian_gain_fidelity(prior.lam, g)
-    if isinstance(prior, UniformDisk):
-        return disk_gain_fidelity(prior.radius, g)
-    if isinstance(prior, TruncatedGaussian):
-        return truncated_gain_fidelity(prior.lam, prior.radius, g)
-    raise TypeError(f"unsupported prior: {prior!r}")
+    return truncated_gain_fidelity(prior.lam, prior.radius, g)

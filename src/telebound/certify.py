@@ -7,23 +7,24 @@ classical bound (1 + lam) / (2 + lam). Certification additionally requires
 the bootstrap confidence interval, not just the point estimate, to clear the
 bound; the interval rule is this library's addition to the comparison.
 
-Keep epsilon small (0.01 or less). The weighted average estimates the
+No epsilon is known to be sound yet. The weighted average estimates the
 truncated-Gaussian ensemble fidelity, which classical strategies can push
-above the whole-plane bound by a margin on the order of epsilon; at
-epsilon = 0.1 that margin is large enough for a purely classical channel to
-be falsely certified. See the test suite for the quantitative demonstration.
+above the whole-plane bound. At epsilon = 0.1 a purely classical channel is
+falsely certified (see the test suite), and at epsilon = 0.01 so is a
+classical gain-0.458 channel on a radius-2 disk with 1e6 records (ci_low
+0.68575 against the bound 0.68267). A tail-corrected threshold is ROADMAP
+item 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .bounds import gaussian_bound, select_lambda
-from .core import tail_mass
+from .core import check_positive, tail_mass
 from .data import Records, as_dataset
 
 __all__ = ["Report", "NONCLASSICAL", "INCONCLUSIVE", "weighted_fidelity", "bootstrap_ci", "verdict"]
@@ -93,8 +94,7 @@ def weighted_fidelity(records: Records, lam: float) -> float:
     area-uniform samples this estimates the truncated-Gaussian ensemble
     average; lam = 0 is the plain mean.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"weighted_fidelity requires lam >= 0, got {lam}")
+    check_positive(lam, "lam", zero_ok=True)
     ds = as_dataset(records)
     if len(ds) == 0:
         raise ValueError("weighted_fidelity needs at least one record")
@@ -155,8 +155,7 @@ def verdict(records: Records, epsilon: float, resamples: int = 1000, seed: int =
         raise ValueError("verdict needs a nonempty dataset")
     data_radius = ds.radius
     if radius is not None:
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError(f"radius must be > 0, got {radius}")
+        check_positive(radius, "radius")
         if data_radius > radius * (1.0 + 1e-12):
             raise ValueError(
                 f"records reach |beta| = {data_radius:.6g}, outside the asserted radius {radius:.6g}")

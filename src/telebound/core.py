@@ -5,12 +5,17 @@ Amplitudes are plain Python complex numbers (dimensionless quadrature units).
 The overlap fidelity between two coherent states with amplitudes a and b is
 exp(-|a-b|^2), which is the single convention everything else in this package
 is pinned to.
+
+Every input prior is one family, TruncatedGaussian(lam, radius): a Gaussian
+of inverse width lam restricted to the disk |beta| <= radius. The uniform
+disk is lam = 0 and the whole-plane Gaussian is radius = inf; UniformDisk
+and GaussianIso construct those two cases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -34,6 +39,13 @@ __all__ = [
 ComplexAmp = complex
 
 
+def check_positive(value: float, name: str, zero_ok: bool = False) -> None:
+    """Raise ValueError, naming `name` and `value`, unless value is finite
+    and > 0 (>= 0 with zero_ok)."""
+    if not (math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0))):
+        raise ValueError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, got {value}")
+
+
 def _require_finite(value: complex, name: str) -> complex:
     z = complex(value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -54,75 +66,28 @@ def fidelity_kernel(alpha: ComplexAmp, beta: ComplexAmp) -> float:
 
 
 @dataclass(frozen=True)
-class GaussianIso:
-    """Isotropic Gaussian ensemble over the whole plane.
-
-    Density (lam/pi) exp(-lam |beta|^2); lam is the inverse-width parameter,
-    small lam means a wide ensemble.
-    """
-
-    lam: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"GaussianIso requires lam > 0, got {self.lam}")
-
-    def density(self, beta: ComplexAmp) -> float:
-        b = _require_finite(beta, "beta")
-        return (self.lam / math.pi) * math.exp(-self.lam * abs(b) ** 2)
-
-    def radial_density(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return (self.lam / np.pi) * np.exp(-self.lam * r * r)
-
-    def support_radius(self, tail: float) -> float:
-        """Radius of the disk holding all but `tail` of the probability mass."""
-        return math.sqrt(math.log(1.0 / tail) / self.lam)
-
-
-@dataclass(frozen=True)
-class UniformDisk:
-    """Uniform ensemble over the origin-centered disk |beta| <= radius."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"UniformDisk requires radius > 0, got {self.radius}")
-
-    def density(self, beta: ComplexAmp) -> float:
-        b = _require_finite(beta, "beta")
-        if abs(b) <= self.radius:
-            return 1.0 / (math.pi * self.radius**2)
-        return 0.0
-
-    def radial_density(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= self.radius, 1.0 / (np.pi * self.radius**2), 0.0)
-
-    def support_radius(self, tail: float) -> float:
-        return self.radius
-
-
-@dataclass(frozen=True)
 class TruncatedGaussian:
     """Gaussian ensemble restricted to |beta| <= radius and renormalized.
 
-    lam = 0 is allowed and reduces exactly to the uniform disk.
+    Density (lam/pi) exp(-lam |beta|^2) / (1 - exp(-lam radius^2)) inside
+    the disk; lam is the inverse-width parameter, small lam means a wide
+    ensemble. lam = 0 is the uniform disk, and radius = inf (with lam > 0)
+    the whole-plane Gaussian.
     """
 
     lam: float
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"TruncatedGaussian requires lam >= 0, got {self.lam}")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"TruncatedGaussian requires radius > 0, got {self.radius}")
+        check_positive(self.lam, "lam", zero_ok=True)
+        if self.radius != math.inf:
+            check_positive(self.radius, "radius")
+        elif self.lam == 0.0:
+            raise ValueError(f"a whole-plane prior (radius = inf) needs lam > 0, got {self.lam}")
 
     def _norm(self) -> float:
         # Mass of (lam/pi) exp(-lam r^2) inside the disk; expm1 keeps the
-        # lam -> 0 limit exact.
+        # lam -> 0 limit exact, and it is exactly 1.0 at radius = inf.
         return -math.expm1(-self.lam * self.radius**2)
 
     def density(self, beta: ComplexAmp) -> float:
@@ -141,10 +106,32 @@ class TruncatedGaussian:
         return np.where(r <= self.radius, inside, 0.0)
 
     def support_radius(self, tail: float) -> float:
-        return self.radius
+        """Radius of the disk holding all but `tail` of the probability mass."""
+        if self.radius != math.inf:
+            return self.radius
+        return math.sqrt(math.log(1.0 / tail) / self.lam)
 
 
-Prior = Union[GaussianIso, UniformDisk, TruncatedGaussian]
+@dataclass(frozen=True)
+class GaussianIso(TruncatedGaussian):
+    """Isotropic Gaussian ensemble over the whole plane: TruncatedGaussian
+    with radius = inf, density (lam/pi) exp(-lam |beta|^2)."""
+
+    radius: float = field(default=math.inf, init=False, repr=False)
+
+
+@dataclass(frozen=True)
+class UniformDisk(TruncatedGaussian):
+    """Uniform ensemble over the origin-centered disk |beta| <= radius:
+    TruncatedGaussian with lam = 0."""
+
+    lam: float = field(default=0.0, init=False, repr=False)
+    radius: float
+
+
+# Every supported prior is a TruncatedGaussian; GaussianIso and UniformDisk
+# only fix one of its fields.
+Prior = TruncatedGaussian
 
 
 def prior_density(prior: Prior, beta: ComplexAmp) -> float:
@@ -157,10 +144,8 @@ def tail_mass(lam: float, radius: float) -> float:
 
     Closed form exp(-lam radius^2), from the polar integral of the density.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"tail_mass requires lam > 0, got {lam}")
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"tail_mass requires radius > 0, got {radius}")
+    check_positive(lam, "lam")
+    check_positive(radius, "radius")
     return math.exp(-lam * radius**2)
 
 
@@ -171,8 +156,7 @@ class Gain:
     g: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.g) and self.g >= 0.0):
-            raise ValueError(f"Gain requires g >= 0, got {self.g}")
+        check_positive(self.g, "g", zero_ok=True)
 
     def guess_radius(self, r: np.ndarray) -> np.ndarray:
         return self.g * np.asarray(r, dtype=float)
@@ -218,17 +202,22 @@ class RadialCurve:
 Strategy = Union[Gain, RadialCurve]
 
 
-def apply_strategy(strategy: Strategy, alpha: ComplexAmp) -> ComplexAmp:
+def apply_strategy(strategy: Strategy, alpha):
     """Guess amplitude for the measurement outcome `alpha`.
 
     The guess keeps the direction of alpha; its modulus is the strategy's
-    radial profile evaluated at |alpha|. The origin maps to the origin.
+    radial profile evaluated at |alpha|. The origin maps to the origin. A
+    scalar alpha gives a complex; an array gives an array of its shape.
     """
-    a = _require_finite(alpha, "alpha")
+    scalar = np.ndim(alpha) == 0
+    a = _require_finite(alpha, "alpha") if scalar else np.asarray(alpha)
     if isinstance(strategy, Gain):
-        return strategy.g * a
-    r = abs(a)
-    if r == 0.0:
-        return 0j
-    rho = float(strategy.guess_radius(np.array([r]))[0])
-    return (rho / r) * a
+        out = strategy.g * a
+    else:
+        # Built-in abs: Python's for a scalar, np.abs for an array. The two
+        # can differ in the last bit, and each path keeps its own.
+        r = abs(a)
+        rho = strategy.guess_radius(r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0) * a
+    return complex(out) if scalar else out

@@ -48,7 +48,7 @@ class Dataset:
             raise ValueError("columns must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(self.beta_re)) and np.all(np.isfinite(self.beta_im))):
             raise ValueError("amplitudes must be finite")
-        if self.fidelity.size and (np.min(self.fidelity) < 0.0 or np.max(self.fidelity) > 1.0):
+        if not np.all((self.fidelity >= 0.0) & (self.fidelity <= 1.0)):
             raise ValueError("fidelity values must lie in [0, 1]")
 
     @classmethod

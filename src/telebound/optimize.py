@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .bounds import BoundResult, gain_fidelity
-from .core import Gain, Prior, RadialCurve, Strategy
-from .quadrature import QuadratureSpec, _SliceRule, _alpha_cut, _polar_quad
+from .core import Gain, Prior, RadialCurve, Strategy, check_positive
+from .quadrature import BetaRule, QuadratureSpec
 
 __all__ = [
     "OptimizationReport",
@@ -121,8 +121,7 @@ def optimize_gain(prior: Prior, tol: float = 1e-6) -> OptimizationReport:
     Grid scan plus golden-section search on [0, GAIN_SEARCH_MAX]; the final
     bracket width is at most tol.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
+    check_positive(tol, "tol")
 
     objective = np.vectorize(lambda g: gain_fidelity(prior, g), otypes=[float])
     lo, hi, grid_evals = _grid_bracket(objective, np.zeros(1), np.full(1, GAIN_SEARCH_MAX))
@@ -154,8 +153,7 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     """
     if n_nodes < 4:
         raise ValueError(f"n_nodes must be >= 4, got {n_nodes}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
+    check_positive(tol, "tol")
     if prior.support_radius(1e-4) <= 1e-6:
         raise ValueError(f"prior support is degenerate: {prior!r}")
 
@@ -166,16 +164,10 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     # The first node sits at the origin, where the best guess is the origin;
     # the other nodes' slices are independent, so they are searched together.
     r = radii[1:]
-    slice_rule = _SliceRule(prior, spec)
+    rule = BetaRule.for_prior(prior, spec)
 
     def slices(rho: np.ndarray) -> np.ndarray:
-        return slice_rule(r, rho)
-
-    b_hi = prior.support_radius(spec.truncation_tol / 2.0)
-    a_hi = _alpha_cut(b_hi, spec.truncation_tol / 2.0)
-
-    def full_value(curve: RadialCurve) -> float:
-        return _polar_quad(prior.radial_density, 0.0, b_hi, curve, spec, a_hi, 1)
+        return rule(r, rho)
 
     evals = 0
 
@@ -185,7 +177,7 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     guesses = gain_report.best_strategy.g * radii
 
     best_curve = RadialCurve(tuple(zip(radii, guesses)))
-    best_value = full_value(best_curve)
+    best_value = rule.average(best_curve)
     evals += 1
 
     gap = math.inf
@@ -197,7 +189,7 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
         guesses[1:] = rho_star
         evals += grid_evals * r.size + int(ev.sum())
         curve = RadialCurve(tuple(zip(radii, guesses)))
-        value = full_value(curve)
+        value = rule.average(curve)
         evals += 1
         gap = value - best_value
         if value > best_value:

@@ -47,7 +47,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import bounds
-from .core import Gain, GaussianIso, Prior, RadialCurve, Strategy
+from .core import Gain, GaussianIso, Prior, RadialCurve, Strategy, check_positive
 
 __all__ = [
     "QuadratureSpec",
@@ -57,6 +57,7 @@ __all__ = [
     "restricted_fidelity_quad",
     "decomposition_residual",
     "guess_slice_quad",
+    "BetaRule",
 ]
 
 # Whole-plane Gaussian priors flatter than this make the alpha integral
@@ -131,10 +132,9 @@ class QuadratureSpec:
             raise ValueError(f"radial_nodes must be >= 8, got {self.radial_nodes}")
         if not (0.0 < self.truncation_tol < 1.0):
             raise ValueError(f"truncation_tol must be in (0, 1), got {self.truncation_tol}")
-        if not (math.isfinite(self.panel_width) and self.panel_width > 0.0):
-            raise ValueError(f"panel_width must be > 0, got {self.panel_width}")
-        if self.outer_cut_radius is not None and not self.outer_cut_radius > 0.0:
-            raise ValueError(f"outer_cut_radius must be > 0, got {self.outer_cut_radius}")
+        check_positive(self.panel_width, "panel_width")
+        if self.outer_cut_radius is not None:
+            check_positive(self.outer_cut_radius, "outer_cut_radius")
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,12 @@ def _strategy_breaks(strategy: Strategy):
     return ()
 
 
-def _alpha_cut(b_max: float, tol: float) -> float:
-    return b_max + math.sqrt(math.log(1.0 / tol)) + 2.0
+def _alpha_cut(spec: QuadratureSpec, b_max: float) -> float:
+    """The spec's alpha cut, else b_max plus enough noise widths that the
+    neglected outer integrand stays below half the truncation budget."""
+    if spec.outer_cut_radius is not None:
+        return spec.outer_cut_radius
+    return b_max + math.sqrt(math.log(1.0 / (spec.truncation_tol / 2.0))) + 2.0
 
 
 def auto_spec(prior: Prior, strategy: Strategy, truncation_tol: float = 1e-9,
@@ -260,25 +264,11 @@ def _kernel_sums(a: np.ndarray, rho: np.ndarray, b: np.ndarray,
     return out
 
 
-def _polar_quad(radial_weight: Callable[[np.ndarray], np.ndarray], b_lo: float, b_hi: float,
-                strategy: Strategy, spec: QuadratureSpec, a_hi: float, mult: int) -> float:
-    """Radial product-rule sum of 4 pi a b p(b) K at `mult` times the spec
-    resolution."""
-    a, a_w = _panel_rule(0.0, a_hi, spec.panel_width, spec.radial_nodes * mult,
-                         breaks=_strategy_breaks(strategy))
-    b, b_w = _panel_rule(b_lo, b_hi, spec.panel_width, spec.radial_nodes * mult)
-    if a.size == 0 or b.size == 0:
-        return 0.0
-    rows = _kernel_sums(a, strategy.guess_radius(a), b, b_w * b * radial_weight(b))
-    return 4.0 * np.pi * float(np.dot(a_w * a, rows))
-
-
 def _evaluate(radial_weight, b_lo, b_hi, strategy, spec, beta_tail) -> QuadResult:
-    tol = spec.truncation_tol
-    a_hi = spec.outer_cut_radius if spec.outer_cut_radius is not None else _alpha_cut(b_hi, tol / 2.0)
+    coarse, fine = (BetaRule(radial_weight, b_lo, b_hi, spec, mult).average(strategy)
+                    for mult in (1, 2))
+    a_hi = _alpha_cut(spec, b_hi)
     alpha_tail = math.exp(-((a_hi - b_hi) ** 2)) if a_hi > b_hi else 1.0
-    coarse = _polar_quad(radial_weight, b_lo, b_hi, strategy, spec, a_hi, 1)
-    fine = _polar_quad(radial_weight, b_lo, b_hi, strategy, spec, a_hi, 2)
     # The final term floors the estimate at the summation rounding level.
     err = abs(fine - coarse) + beta_tail + alpha_tail + 8.0 * np.finfo(float).eps * abs(fine)
     return QuadResult(value=fine, error_estimate=err, spec=replace(spec, outer_cut_radius=a_hi))
@@ -291,6 +281,16 @@ def _check_gaussian_floor(lam: float) -> None:
             f"(the alpha integrand flattens as lam -> 0), got {lam}")
 
 
+def _beta_support(prior: Prior, spec: QuadratureSpec):
+    """Upper beta cut for `prior` and the prior mass beyond it; a
+    whole-plane prior is cut where its tail is half the truncation budget."""
+    b_hi = prior.support_radius(spec.truncation_tol / 2.0)
+    if prior.radius != math.inf:
+        return b_hi, 0.0
+    _check_gaussian_floor(prior.lam)
+    return b_hi, math.exp(-prior.lam * b_hi**2)
+
+
 def average_fidelity_quad(prior: Prior, strategy: Strategy,
                           spec: Optional[QuadratureSpec] = None) -> QuadResult:
     """Average fidelity of `strategy` against `prior` by polar quadrature.
@@ -301,13 +301,7 @@ def average_fidelity_quad(prior: Prior, strategy: Strategy,
     """
     if spec is None:
         spec = QuadratureSpec()
-    if isinstance(prior, GaussianIso):
-        _check_gaussian_floor(prior.lam)
-        b_hi = prior.support_radius(spec.truncation_tol / 2.0)
-        beta_tail = math.exp(-prior.lam * b_hi**2)
-    else:
-        b_hi = prior.support_radius(spec.truncation_tol / 2.0)
-        beta_tail = 0.0
+    b_hi, beta_tail = _beta_support(prior, spec)
     return _evaluate(prior.radial_density, 0.0, b_hi, strategy, spec, beta_tail)
 
 
@@ -320,11 +314,9 @@ def restricted_fidelity_quad(lam: float, radius: float, strategy: Strategy, insi
     The two pieces sum to the whole-plane value; decomposition_residual
     checks that identity numerically.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"restricted_fidelity_quad requires lam > 0, got {lam}")
+    check_positive(lam, "lam")
     _check_gaussian_floor(lam)
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"restricted_fidelity_quad requires radius > 0, got {radius}")
+    check_positive(radius, "radius")
 
     def weight(r: np.ndarray) -> np.ndarray:
         return (lam / np.pi) * np.exp(-lam * r * r)
@@ -337,9 +329,8 @@ def restricted_fidelity_quad(lam: float, radius: float, strategy: Strategy, insi
     if b_hi <= radius:
         # The entire outside region already carries less weight than the
         # truncation budget.
-        a_hi = spec.outer_cut_radius if spec.outer_cut_radius is not None else _alpha_cut(radius, spec.truncation_tol / 2.0)
         return QuadResult(value=0.0, error_estimate=math.exp(-lam * radius**2),
-                          spec=replace(spec, outer_cut_radius=a_hi))
+                          spec=replace(spec, outer_cut_radius=_alpha_cut(spec, radius)))
     return _evaluate(weight, radius, b_hi, strategy, spec, math.exp(-lam * b_hi**2))
 
 
@@ -361,32 +352,46 @@ def decomposition_residual(lam: float, radius: float, strategy: Strategy,
     return abs(whole - f_in.value - f_out.value)
 
 
-class _SliceRule:
-    """Reusable beta-plane rule for single-outcome slice integrals.
+class BetaRule:
+    """Radial rule over the input radius b = |beta| at `mult` times the spec
+    resolution, weighted by radial_weight on [b_lo, b_hi].
 
-    For a fixed outcome radius a and guess radius rho,
+    A call gives the single-outcome slice integral for an outcome at radius a
+    whose guess lies on the same ray at radius rho,
 
         S(a, rho) = (1/pi) int p(beta) exp(-|alpha-beta|^2 - |f-beta|^2) d2beta
-                  = 2 int b p(b) K(a, rho, b) db
+                  = 2 int b p(b) K(a, rho, b) db,
 
-    with alpha and f on a common ray. Optimizing rho slice by slice is how
-    the guess-curve optimizer works, so the beta nodes are prepared once and
-    a call evaluates any broadcastable arrays of (a, rho) together.
+    for any broadcastable arrays of (a, rho). `average` integrates the slices
+    over the outcome plane, 2 pi int a S(a, |f(a)|) da, which is the average
+    fidelity of a strategy. The beta nodes are prepared once, so the
+    guess-curve optimizer scores its slices and its curves on one rule.
     """
 
-    def __init__(self, prior: Prior, spec: QuadratureSpec):
-        tol = spec.truncation_tol
-        if isinstance(prior, GaussianIso):
-            _check_gaussian_floor(prior.lam)
-        b_hi = prior.support_radius(tol / 2.0)
-        b, b_w = _panel_rule(0.0, b_hi, spec.panel_width, spec.radial_nodes)
+    def __init__(self, radial_weight: Callable[[np.ndarray], np.ndarray], b_lo: float,
+                 b_hi: float, spec: QuadratureSpec, mult: int = 1):
+        self.spec = spec
+        self.nodes = spec.radial_nodes * mult
+        self.a_hi = _alpha_cut(spec, b_hi)
+        b, b_w = _panel_rule(b_lo, b_hi, spec.panel_width, self.nodes)
         self.b = b
-        self.b_weight = b_w * b * prior.radial_density(b)
+        self.b_weight = b_w * b * radial_weight(b)
+
+    @classmethod
+    def for_prior(cls, prior: Prior, spec: QuadratureSpec) -> "BetaRule":
+        return cls(prior.radial_density, 0.0, _beta_support(prior, spec)[0], spec)
 
     def __call__(self, a, rho) -> np.ndarray:
         a, rho = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(rho, dtype=float))
         sums = _kernel_sums(a.ravel(), rho.ravel(), self.b, self.b_weight)
         return 2.0 * sums.reshape(a.shape)
+
+    def average(self, strategy: Strategy) -> float:
+        a, a_w = _panel_rule(0.0, self.a_hi, self.spec.panel_width, self.nodes,
+                             breaks=_strategy_breaks(strategy))
+        if a.size == 0 or self.b.size == 0:
+            return 0.0
+        return 2.0 * np.pi * float(np.dot(a_w * a, self(a, strategy.guess_radius(a))))
 
 
 def guess_slice_quad(prior: Prior, outcome_radius: float, guess_radius: float,
@@ -397,4 +402,4 @@ def guess_slice_quad(prior: Prior, outcome_radius: float, guess_radius: float,
         raise ValueError("radii must be >= 0")
     if spec is None:
         spec = QuadratureSpec()
-    return float(_SliceRule(prior, spec)(outcome_radius, guess_radius))
+    return float(BetaRule.for_prior(prior, spec)(outcome_radius, guess_radius))

@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Gain, GaussianIso, Prior, Strategy, TruncatedGaussian, UniformDisk
+from .core import Gain, Prior, Strategy, UniformDisk, apply_strategy, check_positive
 from .data import Dataset
 
 __all__ = [
@@ -75,34 +75,19 @@ def sample_heterodyne(beta, rng: np.random.Generator, size: Optional[int] = None
 
 
 def sample_prior(prior: Prior, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw input amplitudes from `prior` (inverse-CDF radius, no rejection)."""
-    if isinstance(prior, GaussianIso):
+    """Draw input amplitudes from `prior`: two normal components for a
+    whole-plane prior, else an inverse-CDF radius (no rejection)."""
+    if prior.radius == math.inf:
         s = math.sqrt(1.0 / (2.0 * prior.lam))
         return rng.standard_normal(size) * s + 1j * rng.standard_normal(size) * s
-    if isinstance(prior, UniformDisk):
-        r = prior.radius * np.sqrt(rng.random(size))
-        theta = 2.0 * np.pi * rng.random(size)
-        return r * np.exp(1j * theta)
-    if isinstance(prior, TruncatedGaussian):
-        u = rng.random(size)
-        if prior.lam == 0.0:
-            r = prior.radius * np.sqrt(u)
-        else:
-            mass = -math.expm1(-prior.lam * prior.radius**2)
-            r = np.sqrt(-np.log1p(-u * mass) / prior.lam)
-        theta = 2.0 * np.pi * rng.random(size)
-        return r * np.exp(1j * theta)
-    raise TypeError(f"unsupported prior: {prior!r}")
-
-
-def _apply(strategy: Strategy, alpha: np.ndarray) -> np.ndarray:
-    if isinstance(strategy, Gain):
-        return strategy.g * alpha
-    r = np.abs(alpha)
-    rho = strategy.guess_radius(r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
-    return scaled * alpha
+    u = rng.random(size)
+    if prior.lam == 0.0:
+        r = prior.radius * np.sqrt(u)
+    else:
+        mass = -math.expm1(-prior.lam * prior.radius**2)
+        r = np.sqrt(-np.log1p(-u * mass) / prior.lam)
+    theta = 2.0 * np.pi * rng.random(size)
+    return r * np.exp(1j * theta)
 
 
 def _chunks(n: int):
@@ -115,8 +100,10 @@ def _chunks(n: int):
 
 
 def _map_chunks(fn, n: int, workers: int):
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = list(_chunks(n))
-    if workers <= 1:
+    if workers == 1:
         return [fn(i, c) for i, c in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda t: fn(*t), tasks))
@@ -135,7 +122,7 @@ def simulate(prior: Prior, strategy: Strategy, n: int, seed: int, workers: int =
         rng = _chunk_rng(seed, index)
         beta = sample_prior(prior, rng, count)
         alpha = sample_heterodyne(beta, rng)
-        guess = _apply(strategy, alpha)
+        guess = apply_strategy(strategy, alpha)
         f = np.exp(-np.abs(guess - beta) ** 2)
         return float(np.sum(f)), float(np.sum(f * f))
 
@@ -172,8 +159,7 @@ class SimulatedGain:
     g: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.g) and self.g >= 0.0):
-            raise ValueError(f"SimulatedGain requires g >= 0, got {self.g}")
+        check_positive(self.g, "g", zero_ok=True)
 
 
 FidelityModel = Union[Constant, SimulatedGain]
@@ -183,8 +169,7 @@ def generate_dataset(radius: float, n: int, model: FidelityModel, seed: int,
                      workers: int = 1) -> Dataset:
     """Synthetic dataset: inputs uniform on the disk of `radius`, fidelities
     per the model. Deterministic for fixed (radius, n, model, seed)."""
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"radius must be > 0, got {radius}")
+    check_positive(radius, "radius")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not isinstance(model, (Constant, SimulatedGain)):
@@ -197,7 +182,7 @@ def generate_dataset(radius: float, n: int, model: FidelityModel, seed: int,
             f = np.full(count, model.value)
         else:
             alpha = sample_heterodyne(beta, rng)
-            f = np.exp(-np.abs(model.g * alpha - beta) ** 2)
+            f = np.exp(-np.abs(apply_strategy(Gain(model.g), alpha) - beta) ** 2)
         return beta, f
 
     parts = _map_chunks(run_chunk, n, workers)

@@ -70,6 +70,11 @@ class TestLoadDataset:
         assert len(ds) == 2
         assert ds.radius == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_dataset_rejects_fidelity_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="fidelity"):
+            Dataset([0.0, 1.0], [0.0, 0.5], [bad, 0.5])
+
     def test_write_load_roundtrip_is_bit_exact(self, tmp_path):
         ds = generate_dataset(2.0, 500, SimulatedGain(0.7), seed=3)
         path = tmp_path / "rt.csv"

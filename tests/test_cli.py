@@ -127,6 +127,13 @@ class TestSimulate:
         mean, err = float(vals["mean_fidelity"]), float(vals["std_error"])
         assert mean == pytest.approx(2 / 3, abs=4 * err)
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_bad_worker_count_is_input_error(self, capsys, workers):
+        code, _, err = run(capsys, "simulate", "--prior", "disk:1", "--gain", "0.36",
+                           "-n", "100", "--workers", workers)
+        assert code == 2
+        assert "workers" in err
+
     def test_repeat_runs_identical(self, capsys):
         _, out1, _ = run(capsys, "simulate", "--prior", "disk:1", "--gain", "0.36",
                          "-n", "50000", "--seed", "3")
@@ -187,6 +194,14 @@ class TestGenerateAnalyze:
                            "--model", "poisson:1", "--seed", "0", "-o", str(tmp_path / "x.csv"))
         assert code == 2
         assert "unknown model" in err
+
+    def test_generate_bad_worker_count_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        code, _, err = run(capsys, "generate", "--radius", "1", "-n", "10", "--model", "const:0.5",
+                           "--workers", "0", "-o", str(path))
+        assert code == 2
+        assert "workers" in err
+        assert not path.exists()
 
     def test_constant_out_of_range_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "generate", "--radius", "1", "-n", "10",

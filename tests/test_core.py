@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from telebound import (
     TruncatedGaussian,
     UniformDisk,
     apply_strategy,
+    average_fidelity_quad,
     fidelity_kernel,
+    gain_fidelity,
     prior_density,
+    sample_prior,
     tail_mass,
 )
 
@@ -62,10 +66,11 @@ class TestPriorDensity:
     @pytest.mark.parametrize("prior", [GaussianIso(0.1), GaussianIso(1.0), GaussianIso(5.0),
                                        UniformDisk(1.0), UniformDisk(3.0),
                                        TruncatedGaussian(0.1, 1.0), TruncatedGaussian(1.0, 3.0),
-                                       TruncatedGaussian(5.0, 1.0), TruncatedGaussian(0.0, 3.0)])
+                                       TruncatedGaussian(5.0, 1.0), TruncatedGaussian(0.0, 3.0),
+                                       TruncatedGaussian(0.5, math.inf)])
     def test_normalization(self, prior):
         # independent radial quadrature of 2 pi r p(r) over the support
-        hi = prior.support_radius(1e-14) if isinstance(prior, GaussianIso) else prior.radius
+        hi = prior.support_radius(1e-14)
         mass, _ = integrate.quad(lambda r: 2 * np.pi * r * float(prior.radial_density(np.array([r]))[0]),
                                  0.0, hi, epsabs=1e-12, epsrel=1e-12, limit=300)
         assert mass == pytest.approx(1.0, abs=1e-6)
@@ -88,6 +93,49 @@ class TestPriorDensity:
             TruncatedGaussian(-0.1, 1.0)
         with pytest.raises(ValueError):
             TruncatedGaussian(1.0, 0.0)
+        with pytest.raises(ValueError):
+            TruncatedGaussian(0.0, math.inf)  # a flat whole-plane prior has no normalization
+        with pytest.raises(ValueError):
+            UniformDisk(math.inf)
+        with pytest.raises(ValueError):
+            TruncatedGaussian(1.0, math.nan)
+
+
+CURVE = RadialCurve(((0.0, 0.0), (0.7, 0.4), (1.5, 1.0), (3.0, 1.9)))
+
+
+class TestPriorFamily:
+    """GaussianIso and UniformDisk are TruncatedGaussian with one field fixed:
+    every number they produce equals the family member's bit for bit."""
+
+    @pytest.mark.parametrize("thin,member", [
+        (GaussianIso(0.5), TruncatedGaussian(0.5, math.inf)),
+        (GaussianIso(0.05), TruncatedGaussian(0.05, math.inf)),
+        (UniformDisk(2.0), TruncatedGaussian(0.0, 2.0)),
+        (UniformDisk(0.7), TruncatedGaussian(0.0, 0.7)),
+    ])
+    def test_constructor_identity(self, thin, member):
+        r = np.linspace(0.0, 8.0, 801)
+        assert np.array_equal(thin.radial_density(r), member.radial_density(r))
+        for beta in (0j, 0.3 - 0.4j, 1.9 + 0.2j, 5j):
+            assert prior_density(thin, beta) == prior_density(member, beta)
+        draws = [sample_prior(p, np.random.Generator(np.random.Philox(11)), 4000) for p in (thin, member)]
+        assert np.array_equal(draws[0], draws[1])
+        for g in (0.0, 0.3, 0.6, 1.0, 1.3):
+            assert gain_fidelity(thin, g) == gain_fidelity(member, g)
+        for strategy in (Gain(0.6), CURVE):
+            assert average_fidelity_quad(thin, strategy) == average_fidelity_quad(member, strategy)
+
+    def test_thin_constructors_keep_their_repr_and_fields(self):
+        gauss, disk = GaussianIso(0.5), UniformDisk(2.0)
+        assert repr(gauss) == "GaussianIso(lam=0.5)"
+        assert repr(disk) == "UniformDisk(radius=2.0)"
+        assert repr(TruncatedGaussian(0.7, 3.0)) == "TruncatedGaussian(lam=0.7, radius=3.0)"
+        assert (gauss.radius, disk.lam) == (math.inf, 0.0)
+        assert isinstance(gauss, TruncatedGaussian) and isinstance(disk, TruncatedGaussian)
+        for prior in (gauss, disk):
+            copy = pickle.loads(pickle.dumps(prior))
+            assert copy == prior and hash(copy) == hash(prior) and type(copy) is type(prior)
 
 
 class TestTailMass:

@@ -23,7 +23,7 @@ from telebound import (
     restricted_fidelity_quad,
     truncated_gain_fidelity,
 )
-from telebound.quadrature import _i0e, _SliceRule
+from telebound.quadrature import BetaRule, _i0e
 
 from _oracles import restricted_gain_closed
 
@@ -186,8 +186,9 @@ class TestNumericalBehaviour:
             QuadratureSpec(truncation_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(panel_width=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(outer_cut_radius=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                QuadratureSpec(outer_cut_radius=bad)
         # the angle is integrated exactly: no angular resolution to set
         with pytest.raises(TypeError):
             QuadratureSpec(angular_nodes=64)
@@ -213,7 +214,7 @@ class TestGuessSlice:
     def test_batched_slices_equal_scalar_calls(self, prior):
         a = np.linspace(0.0, 6.0, 7)[:, None]
         rho = np.linspace(0.0, 5.0, 11)[None, :]
-        batched = _SliceRule(prior, QuadratureSpec())(a, rho)
+        batched = BetaRule.for_prior(prior, QuadratureSpec())(a, rho)
         assert batched.shape == (7, 11)
         for i, j in np.ndindex(batched.shape):
             assert batched[i, j] == guess_slice_quad(prior, a[i, 0], rho[0, j])

@@ -131,6 +131,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(UniformDisk(1.0), Gain(0.5), 0, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_bad_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            simulate(UniformDisk(1.0), Gain(0.5), 10, seed=0, workers=workers)
+
 
 class TestGenerateDataset:
     def test_constant_model(self):
@@ -184,3 +189,6 @@ class TestGenerateDataset:
             generate_dataset(0.0, 10, Constant(0.5), seed=0)
         with pytest.raises(ValueError):
             generate_dataset(1.0, 0, Constant(0.5), seed=0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                generate_dataset(1.0, 10, Constant(0.5), seed=0, workers=workers)
