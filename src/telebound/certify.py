@@ -18,13 +18,13 @@ item 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .bounds import gaussian_bound, select_lambda
-from .core import check_positive, tail_mass
+from .core import check_count, check_positive, seeded_stream, tail_mass
 from .data import Records, as_dataset
 
 __all__ = ["Report", "NONCLASSICAL", "INCONCLUSIVE", "weighted_fidelity", "bootstrap_ci", "verdict"]
@@ -35,6 +35,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # Guards the tail <= epsilon comparison against last-ulp rounding, since
 # select_lambda makes them equal by construction.
 _TAIL_SLACK = 1e-9
+
+# Report fields whose serialized key differs from the field name.
+_KEYS = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -59,32 +62,31 @@ class Report:
             raise ValueError("confidence interval must contain the point estimate")
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "tail_mass": self.tail_mass,
-            "sample_radius": self.sample_radius,
-            "weighted_fidelity": self.weighted_fidelity,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "classical_bound": self.classical_bound,
-            "verdict": self.verdict,
-            "n_records": self.n_records,
-            "seed": self.seed,
-        }
+        return {_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
-        return cls(lam=d["lambda"], tail_mass=d["tail_mass"], sample_radius=d["sample_radius"],
-                   weighted_fidelity=d["weighted_fidelity"], ci_low=d["ci_low"],
-                   ci_high=d["ci_high"], classical_bound=d["classical_bound"],
-                   verdict=d["verdict"], n_records=d["n_records"], seed=d["seed"])
+        return cls(**{f.name: d[_KEYS.get(f.name, f.name)] for f in fields(cls)})
 
 
-def _weights(ds, lam: float) -> np.ndarray:
+def _weighted_mean(records: Records, lam: float, minimum: int, caller: str):
+    """(point estimate, fidelities, weights) of the Gaussian-weighted mean.
+
+    The weights are None when every fidelity is equal: the mean is then that
+    value whatever the weights.
+    """
+    check_positive(lam, "lam", zero_ok=True)
+    ds = as_dataset(records)
+    if len(ds) < minimum:
+        raise ValueError(f"{caller} needs at least {minimum} record(s), got {len(ds)}")
+    f = ds.fidelity
+    if np.all(f == f[0]):
+        return float(f[0]), f, None
     s = ds.beta_re**2 + ds.beta_im**2
     # Shift the exponent so large lam cannot underflow every weight; the
     # self-normalized ratio is unchanged.
-    return np.exp(-lam * (s - np.min(s)))
+    w = np.exp(-lam * (s - np.min(s)))
+    return float(np.dot(w, f) / np.sum(w)), f, w
 
 
 def weighted_fidelity(records: Records, lam: float) -> float:
@@ -94,15 +96,7 @@ def weighted_fidelity(records: Records, lam: float) -> float:
     area-uniform samples this estimates the truncated-Gaussian ensemble
     average; lam = 0 is the plain mean.
     """
-    check_positive(lam, "lam", zero_ok=True)
-    ds = as_dataset(records)
-    if len(ds) == 0:
-        raise ValueError("weighted_fidelity needs at least one record")
-    f = ds.fidelity
-    if np.all(f == f[0]):
-        return float(f[0])
-    w = _weights(ds, lam)
-    return float(np.dot(w, f) / np.sum(w))
+    return _weighted_mean(records, lam, 1, "weighted_fidelity")[0]
 
 
 def bootstrap_ci(records: Records, lam: float, resamples: int = 1000, seed: int = 0,
@@ -113,20 +107,14 @@ def bootstrap_ci(records: Records, lam: float, resamples: int = 1000, seed: int 
     to contain the point estimate; identical records give a zero-width
     interval.
     """
-    if resamples < 100:
-        raise ValueError(f"resamples must be >= 100, got {resamples}")
+    check_count(resamples, "resamples", 100)
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must be in (0, 1), got {level}")
-    ds = as_dataset(records)
-    n = len(ds)
-    if n < 2:
-        raise ValueError("bootstrap_ci needs at least 2 records")
-    f = ds.fidelity
-    if np.all(f == f[0]):
-        return float(f[0]), float(f[0])
-    w = _weights(ds, lam)
-    point = float(np.dot(w, f) / np.sum(w))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+    rng = seeded_stream(seed, 0)
+    point, f, w = _weighted_mean(records, lam, 2, "bootstrap_ci")
+    if w is None:
+        return point, point
+    n = f.size
     stats = np.empty(resamples)
     for r in range(resamples):
         idx = rng.integers(0, n, n)

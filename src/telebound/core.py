@@ -9,12 +9,19 @@ is pinned to.
 Every input prior is one family, TruncatedGaussian(lam, radius): a Gaussian
 of inverse width lam restricted to the disk |beta| <= radius. The uniform
 disk is lam = 0 and the whole-plane Gaussian is radius = inf; UniformDisk
-and GaussianIso construct those two cases.
+and GaussianIso construct those two cases. A prior's `mass` is the share of
+(lam/pi) exp(-lam |beta|^2) inside its disk, tail_mass(lam, radius) the share
+beyond it; the sampler and the quadrature cuts read these two.
+
+seeded_stream(seed, i), a Philox generator on SeedSequence(seed,
+spawn_key=(i,)), is the one random stream: simulation chunk i draws stream i
+and the bootstrap draws stream 0.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -44,6 +51,24 @@ def check_positive(value: float, name: str, zero_ok: bool = False) -> None:
     and > 0 (>= 0 with zero_ok)."""
     if not (math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0))):
         raise ValueError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, got {value}")
+
+
+def check_count(value: int, name: str, minimum: int) -> None:
+    """Raise ValueError, naming `name` and `value`, unless value is an
+    integer (operator.index accepts it) and >= minimum."""
+    try:
+        ok = operator.index(value) >= minimum
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def seeded_stream(seed: int, index: int) -> np.random.Generator:
+    """Random stream `index` of `seed`: a Philox generator on
+    SeedSequence(seed, spawn_key=(index,))."""
+    check_count(seed, "seed", 0)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def _require_finite(value: complex, name: str) -> complex:
@@ -85,9 +110,10 @@ class TruncatedGaussian:
         elif self.lam == 0.0:
             raise ValueError(f"a whole-plane prior (radius = inf) needs lam > 0, got {self.lam}")
 
-    def _norm(self) -> float:
-        # Mass of (lam/pi) exp(-lam r^2) inside the disk; expm1 keeps the
-        # lam -> 0 limit exact, and it is exactly 1.0 at radius = inf.
+    @property
+    def mass(self) -> float:
+        """Mass of (lam/pi) exp(-lam |beta|^2) inside the disk; expm1 keeps
+        the lam -> 0 limit exact, and it is exactly 1.0 at radius = inf."""
         return -math.expm1(-self.lam * self.radius**2)
 
     def density(self, beta: ComplexAmp) -> float:
@@ -96,13 +122,13 @@ class TruncatedGaussian:
             return 0.0
         if self.lam == 0.0:
             return 1.0 / (math.pi * self.radius**2)
-        return (self.lam / math.pi) * math.exp(-self.lam * abs(b) ** 2) / self._norm()
+        return (self.lam / math.pi) * math.exp(-self.lam * abs(b) ** 2) / self.mass
 
     def radial_density(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.lam == 0.0:
             return np.where(r <= self.radius, 1.0 / (np.pi * self.radius**2), 0.0)
-        inside = (self.lam / np.pi) * np.exp(-self.lam * r * r) / self._norm()
+        inside = (self.lam / np.pi) * np.exp(-self.lam * r * r) / self.mass
         return np.where(r <= self.radius, inside, 0.0)
 
     def support_radius(self, tail: float) -> float:

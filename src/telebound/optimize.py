@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import BoundResult, gain_fidelity
-from .core import Gain, Prior, RadialCurve, Strategy, check_positive
+from .core import Gain, Prior, RadialCurve, Strategy, check_count, check_positive
 from .quadrature import BetaRule, QuadratureSpec
 
 __all__ = [
@@ -151,8 +151,8 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     stop once the improvement drops to tol. Raises ConvergenceError with the
     best report so far if the sweep cap is hit first.
     """
-    if n_nodes < 4:
-        raise ValueError(f"n_nodes must be >= 4, got {n_nodes}")
+    check_count(n_nodes, "n_nodes", 4)
+    check_count(max_sweeps, "max_sweeps", 1)
     check_positive(tol, "tol")
     if prior.support_radius(1e-4) <= 1e-6:
         raise ValueError(f"prior support is degenerate: {prior!r}")

@@ -47,7 +47,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import bounds
-from .core import Gain, GaussianIso, Prior, RadialCurve, Strategy, check_positive
+from .core import (Gain, GaussianIso, Prior, RadialCurve, Strategy, check_count,
+                   check_positive, tail_mass)
 
 __all__ = [
     "QuadratureSpec",
@@ -128,8 +129,7 @@ class QuadratureSpec:
         return 1
 
     def __post_init__(self):
-        if self.radial_nodes < 8:
-            raise ValueError(f"radial_nodes must be >= 8, got {self.radial_nodes}")
+        check_count(self.radial_nodes, "radial_nodes", 8)
         if not (0.0 < self.truncation_tol < 1.0):
             raise ValueError(f"truncation_tol must be in (0, 1), got {self.truncation_tol}")
         check_positive(self.panel_width, "panel_width")
@@ -274,21 +274,17 @@ def _evaluate(radial_weight, b_lo, b_hi, strategy, spec, beta_tail) -> QuadResul
     return QuadResult(value=fine, error_estimate=err, spec=replace(spec, outer_cut_radius=a_hi))
 
 
-def _check_gaussian_floor(lam: float) -> None:
-    if lam < GAUSSIAN_LAMBDA_FLOOR:
-        raise ValueError(
-            f"whole-plane Gaussian integrals need lam >= {GAUSSIAN_LAMBDA_FLOOR} "
-            f"(the alpha integrand flattens as lam -> 0), got {lam}")
-
-
 def _beta_support(prior: Prior, spec: QuadratureSpec):
     """Upper beta cut for `prior` and the prior mass beyond it; a
     whole-plane prior is cut where its tail is half the truncation budget."""
     b_hi = prior.support_radius(spec.truncation_tol / 2.0)
     if prior.radius != math.inf:
         return b_hi, 0.0
-    _check_gaussian_floor(prior.lam)
-    return b_hi, math.exp(-prior.lam * b_hi**2)
+    if prior.lam < GAUSSIAN_LAMBDA_FLOOR:
+        raise ValueError(
+            f"whole-plane Gaussian integrals need lam >= {GAUSSIAN_LAMBDA_FLOOR} "
+            f"(the alpha integrand flattens as lam -> 0), got {prior.lam}")
+    return b_hi, tail_mass(prior.lam, b_hi)
 
 
 def average_fidelity_quad(prior: Prior, strategy: Strategy,
@@ -315,23 +311,19 @@ def restricted_fidelity_quad(lam: float, radius: float, strategy: Strategy, insi
     checks that identity numerically.
     """
     check_positive(lam, "lam")
-    _check_gaussian_floor(lam)
     check_positive(radius, "radius")
-
-    def weight(r: np.ndarray) -> np.ndarray:
-        return (lam / np.pi) * np.exp(-lam * r * r)
-
     if spec is None:
         spec = QuadratureSpec()
+    gaussian = GaussianIso(lam)
+    b_hi, beta_tail = _beta_support(gaussian, spec)
     if inside:
-        return _evaluate(weight, 0.0, radius, strategy, spec, 0.0)
-    b_hi = math.sqrt(math.log(2.0 / spec.truncation_tol) / lam)
+        return _evaluate(gaussian.radial_density, 0.0, radius, strategy, spec, 0.0)
     if b_hi <= radius:
         # The entire outside region already carries less weight than the
         # truncation budget.
-        return QuadResult(value=0.0, error_estimate=math.exp(-lam * radius**2),
+        return QuadResult(value=0.0, error_estimate=tail_mass(lam, radius),
                           spec=replace(spec, outer_cut_radius=_alpha_cut(spec, radius)))
-    return _evaluate(weight, radius, b_hi, strategy, spec, math.exp(-lam * b_hi**2))
+    return _evaluate(gaussian.radial_density, radius, b_hi, strategy, spec, beta_tail)
 
 
 def decomposition_residual(lam: float, radius: float, strategy: Strategy,
@@ -398,8 +390,8 @@ def guess_slice_quad(prior: Prior, outcome_radius: float, guess_radius: float,
                      spec: Optional[QuadratureSpec] = None) -> float:
     """Expected fidelity contribution of a single outcome at `outcome_radius`
     when the guess lies on the same ray at `guess_radius`."""
-    if outcome_radius < 0.0 or guess_radius < 0.0:
-        raise ValueError("radii must be >= 0")
+    check_positive(outcome_radius, "outcome_radius", zero_ok=True)
+    check_positive(guess_radius, "guess_radius", zero_ok=True)
     if spec is None:
         spec = QuadratureSpec()
     return float(BetaRule.for_prior(prior, spec)(outcome_radius, guess_radius))

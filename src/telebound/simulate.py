@@ -11,10 +11,11 @@ package depends on; do not change it.
 
 Determinism
 -----------
-Samples are drawn in fixed-size chunks. Chunk i uses a Philox generator
-seeded with SeedSequence(seed, spawn_key=(i,)), and chunk results are
-combined in index order, so a run is bit-identical for fixed
-(seed, n, prior, strategy) regardless of the worker count.
+Samples are drawn in fixed-size chunks. Chunk i draws from
+core.seeded_stream(seed, i), a Philox generator seeded with
+SeedSequence(seed, spawn_key=(i,)), and chunk results are combined in index
+order, so a run is bit-identical for fixed (seed, n, prior, strategy)
+regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Gain, Prior, Strategy, UniformDisk, apply_strategy, check_positive
+from .core import (Gain, Prior, Strategy, UniformDisk, apply_strategy, check_count,
+                   check_positive, seeded_stream)
 from .data import Dataset
 
 __all__ = [
@@ -56,10 +58,6 @@ class FidelityEstimate:
     seed: int
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
-
-
 def sample_heterodyne(beta, rng: np.random.Generator, size: Optional[int] = None):
     """Draw heterodyne outcomes alpha = beta + w for input amplitude(s) beta.
 
@@ -84,25 +82,22 @@ def sample_prior(prior: Prior, rng: np.random.Generator, size: int) -> np.ndarra
     if prior.lam == 0.0:
         r = prior.radius * np.sqrt(u)
     else:
-        mass = -math.expm1(-prior.lam * prior.radius**2)
-        r = np.sqrt(-np.log1p(-u * mass) / prior.lam)
+        r = np.sqrt(-np.log1p(-u * prior.mass) / prior.lam)
     theta = 2.0 * np.pi * rng.random(size)
     return r * np.exp(1j * theta)
 
 
-def _chunks(n: int):
-    start = 0
-    index = 0
-    while start < n:
-        yield index, min(CHUNK_SIZE, n - start)
-        start += CHUNK_SIZE
-        index += 1
+def _round(prior: Prior, strategy: Strategy, rng: np.random.Generator, count: int):
+    """`count` measure-and-prepare rounds on `rng`, as described in simulate;
+    returns the inputs beta and their fidelities."""
+    beta = sample_prior(prior, rng, count)
+    guess = apply_strategy(strategy, sample_heterodyne(beta, rng))
+    return beta, np.exp(-np.abs(guess - beta) ** 2)
 
 
 def _map_chunks(fn, n: int, workers: int):
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = list(_chunks(n))
+    check_count(workers, "workers", 1)
+    tasks = [(i, min(CHUNK_SIZE, n - start)) for i, start in enumerate(range(0, n, CHUNK_SIZE))]
     if workers == 1:
         return [fn(i, c) for i, c in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -115,15 +110,10 @@ def simulate(prior: Prior, strategy: Strategy, n: int, seed: int, workers: int =
     Per sample: draw beta from the prior, draw the heterodyne outcome,
     re-prepare the strategy's guess and score exp(-|guess - beta|^2).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count(n, "n", 1)
 
     def run_chunk(index: int, count: int):
-        rng = _chunk_rng(seed, index)
-        beta = sample_prior(prior, rng, count)
-        alpha = sample_heterodyne(beta, rng)
-        guess = apply_strategy(strategy, alpha)
-        f = np.exp(-np.abs(guess - beta) ** 2)
+        _, f = _round(prior, strategy, seeded_stream(seed, index), count)
         return float(np.sum(f)), float(np.sum(f * f))
 
     total = 0.0
@@ -170,20 +160,16 @@ def generate_dataset(radius: float, n: int, model: FidelityModel, seed: int,
     """Synthetic dataset: inputs uniform on the disk of `radius`, fidelities
     per the model. Deterministic for fixed (radius, n, model, seed)."""
     check_positive(radius, "radius")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count(n, "n", 1)
     if not isinstance(model, (Constant, SimulatedGain)):
         raise TypeError(f"unsupported fidelity model: {model!r}")
+    prior = UniformDisk(radius)
 
     def run_chunk(index: int, count: int):
-        rng = _chunk_rng(seed, index)
-        beta = sample_prior(UniformDisk(radius), rng, count)
+        rng = seeded_stream(seed, index)
         if isinstance(model, Constant):
-            f = np.full(count, model.value)
-        else:
-            alpha = sample_heterodyne(beta, rng)
-            f = np.exp(-np.abs(apply_strategy(Gain(model.g), alpha) - beta) ** 2)
-        return beta, f
+            return sample_prior(prior, rng, count), np.full(count, model.value)
+        return _round(prior, Gain(model.g), rng, count)
 
     parts = _map_chunks(run_chunk, n, workers)
     beta = np.concatenate([p[0] for p in parts])

@@ -151,8 +151,12 @@ class TestBootstrapCI:
 
     def test_validation(self):
         ds = generate_dataset(1.0, 100, SimulatedGain(0.5), seed=0)
-        with pytest.raises(ValueError):
-            bootstrap_ci(ds, 1.0, resamples=99)
+        for bad in (99, 100.5):
+            with pytest.raises(ValueError, match="resamples"):
+                bootstrap_ci(ds, 1.0, resamples=bad)
+        for records in (ds, Dataset([0.0, 1.0], [0.0, 0.0], [0.5, 0.5])):
+            with pytest.raises(ValueError, match="seed must .* got -1"):
+                bootstrap_ci(records, 1.0, resamples=100, seed=-1)
         with pytest.raises(ValueError):
             bootstrap_ci(Dataset([0.0], [0.0], [0.5]), 1.0)
         with pytest.raises(ValueError):
@@ -253,8 +257,9 @@ class TestReport:
     def test_dict_keys_are_the_report_fields(self):
         ds = generate_dataset(1.0, 200, Constant(0.58), seed=23)
         d = verdict(ds, epsilon=0.01, resamples=150, seed=0).to_dict()
-        assert set(d) == {"lambda", "tail_mass", "sample_radius", "weighted_fidelity",
-                          "ci_low", "ci_high", "classical_bound", "verdict", "n_records", "seed"}
+        # Ordered: the keys are the JSON schema, and their order is part of it.
+        assert list(d) == ["lambda", "tail_mass", "sample_radius", "weighted_fidelity",
+                           "ci_low", "ci_high", "classical_bound", "verdict", "n_records", "seed"]
 
     def test_interval_must_contain_point(self):
         with pytest.raises(ValueError):

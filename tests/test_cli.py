@@ -134,6 +134,12 @@ class TestSimulate:
         assert code == 2
         assert "workers" in err
 
+    def test_negative_seed_is_input_error(self, capsys):
+        code, _, err = run(capsys, "simulate", "--prior", "disk:1", "--gain", "0.36",
+                           "-n", "100", "--seed", "-1")
+        assert code == 2
+        assert "seed" in err
+
     def test_repeat_runs_identical(self, capsys):
         _, out1, _ = run(capsys, "simulate", "--prior", "disk:1", "--gain", "0.36",
                          "-n", "50000", "--seed", "3")
@@ -201,6 +207,14 @@ class TestGenerateAnalyze:
                            "--workers", "0", "-o", str(path))
         assert code == 2
         assert "workers" in err
+        assert not path.exists()
+
+    def test_generate_negative_seed_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        code, _, err = run(capsys, "generate", "--radius", "1", "-n", "10", "--model", "gain:0.5",
+                           "--seed", "-1", "-o", str(path))
+        assert code == 2
+        assert "seed" in err
         assert not path.exists()
 
     def test_constant_out_of_range_rejected(self, capsys, tmp_path):

@@ -130,8 +130,12 @@ class TestOptimizeGuessCurve:
             assert curve_value >= gain_value - 1e-3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            optimize_guess_curve(UniformDisk(1.0), n_nodes=3)
+        for bad in (3, 4.5):
+            with pytest.raises(ValueError, match="n_nodes"):
+                optimize_guess_curve(UniformDisk(1.0), n_nodes=bad)
+        for bad in (0, 1.5):
+            with pytest.raises(ValueError, match="max_sweeps"):
+                optimize_guess_curve(UniformDisk(1.0), max_sweeps=bad)
         with pytest.raises(ValueError):
             optimize_guess_curve(UniformDisk(1e-7))
         with pytest.raises(ValueError):

@@ -21,6 +21,8 @@ from telebound import (
     guess_slice_quad,
     optimal_gain_gaussian,
     restricted_fidelity_quad,
+    select_lambda,
+    tail_mass,
     truncated_gain_fidelity,
 )
 from telebound.quadrature import BetaRule, _i0e
@@ -127,6 +129,17 @@ class TestDecompositionResidual:
     def test_curve_strategy(self):
         assert decomposition_residual(1.0, 1.2, CURVE) < 1e-6
 
+    @pytest.mark.parametrize("radius", [2.0, 5.0])
+    @pytest.mark.parametrize("strategy", [Gain(0.55), CURVE])
+    def test_inside_piece_is_the_truncated_prior_scaled(self, radius, strategy):
+        # F_inside = (1 - tail) F_trunc: the identity behind the
+        # tail-corrected threshold bound / (1 - tail).
+        lam = select_lambda(radius, 0.01)
+        inside = restricted_fidelity_quad(lam, radius, strategy, True)
+        trunc = average_fidelity_quad(TruncatedGaussian(lam, radius), strategy)
+        scaled = (1.0 - tail_mass(lam, radius)) * trunc.value
+        assert abs(inside.value - scaled) <= inside.error_estimate + trunc.error_estimate
+
 
 class TestNumericalBehaviour:
     def test_panel_halving_converges_fast(self):
@@ -180,8 +193,9 @@ class TestNumericalBehaviour:
             average_fidelity_quad(GaussianIso(1e-7), Gain(0.5))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(radial_nodes=4)
+        for bad in (4, 8.5, math.nan):
+            with pytest.raises(ValueError, match="radial_nodes"):
+                QuadratureSpec(radial_nodes=bad)
         with pytest.raises(ValueError):
             QuadratureSpec(truncation_tol=0.0)
         with pytest.raises(ValueError):
@@ -218,6 +232,13 @@ class TestGuessSlice:
         assert batched.shape == (7, 11)
         for i, j in np.ndindex(batched.shape):
             assert batched[i, j] == guess_slice_quad(prior, a[i, 0], rho[0, j])
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_rejects_bad_radii(self, bad):
+        with pytest.raises(ValueError, match="outcome_radius"):
+            guess_slice_quad(UniformDisk(1.0), bad, 0.5)
+        with pytest.raises(ValueError, match="guess_radius"):
+            guess_slice_quad(UniformDisk(1.0), 0.5, bad)
 
     def test_slice_consistent_with_full_average(self):
         # integrating the slice over outcomes reproduces the full value

@@ -128,13 +128,19 @@ class TestSimulate:
         assert est.std_error == 0.0
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            simulate(UniformDisk(1.0), Gain(0.5), 0, seed=0)
+        for bad in (0, 1.5):
+            with pytest.raises(ValueError, match="n must"):
+                simulate(UniformDisk(1.0), Gain(0.5), bad, seed=0)
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5])
     def test_rejects_bad_workers(self, workers):
         with pytest.raises(ValueError, match="workers"):
             simulate(UniformDisk(1.0), Gain(0.5), 10, seed=0, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejects_negative_seed(self, workers):
+        with pytest.raises(ValueError, match="seed must .* got -1"):
+            simulate(UniformDisk(1.0), Gain(0.5), 10, seed=-1, workers=workers)
 
 
 class TestGenerateDataset:
@@ -187,8 +193,12 @@ class TestGenerateDataset:
             SimulatedGain(-1.0)
         with pytest.raises(ValueError):
             generate_dataset(0.0, 10, Constant(0.5), seed=0)
-        with pytest.raises(ValueError):
-            generate_dataset(1.0, 0, Constant(0.5), seed=0)
-        for workers in (0, -1):
+        for bad in (0, 1.5):
+            with pytest.raises(ValueError, match="n must"):
+                generate_dataset(1.0, bad, Constant(0.5), seed=0)
+        for workers in (0, -1, 1.5):
             with pytest.raises(ValueError, match="workers"):
                 generate_dataset(1.0, 10, Constant(0.5), seed=0, workers=workers)
+        for model in (Constant(0.5), SimulatedGain(0.5)):
+            with pytest.raises(ValueError, match="seed must .* got -1"):
+                generate_dataset(1.0, 10, model, seed=-1)
