@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Prior, Strategy, check_positive
+from .core import Prior, Strategy, check_positive, disk_mass
 
 __all__ = [
     "BoundResult",
@@ -103,7 +103,7 @@ def truncated_gain_fidelity(lam: float, radius: float, g: float) -> float:
         return 0.5
     k = (1.0 - g) ** 2 / (1.0 + g * g)
     inside = lam * (-math.expm1(-(lam + k) * radius**2)) / ((1.0 + g * g) * (lam + k))
-    return inside / (-math.expm1(-lam * radius**2))
+    return inside / disk_mass(lam, radius)
 
 
 def select_lambda(radius: float, epsilon: float) -> float:

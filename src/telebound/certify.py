@@ -103,9 +103,10 @@ def bootstrap_ci(records: Records, lam: float, resamples: int = 1000, seed: int 
                  level: float = 0.95) -> Tuple[float, float]:
     """Percentile bootstrap interval for weighted_fidelity.
 
-    Deterministic for a fixed seed. The interval is widened, if necessary,
-    to contain the point estimate; identical records give a zero-width
-    interval.
+    Deterministic for a fixed seed: resample r draws n record indices from
+    stream 0 of the seed, and its statistic is computed from how often each
+    record was drawn. The interval is widened, if necessary, to contain the
+    point estimate; identical records give a zero-width interval.
     """
     check_count(resamples, "resamples", 100)
     if not (0.0 < level < 1.0):
@@ -115,11 +116,11 @@ def bootstrap_ci(records: Records, lam: float, resamples: int = 1000, seed: int 
     if w is None:
         return point, point
     n = f.size
+    wf = w * f
     stats = np.empty(resamples)
     for r in range(resamples):
-        idx = rng.integers(0, n, n)
-        wr = w[idx]
-        stats[r] = np.dot(wr, f[idx]) / np.sum(wr)
+        counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+        stats[r] = np.dot(counts, wf) / np.dot(counts, w)
     tail = 0.5 * (1.0 - level)
     lo, hi = np.quantile(stats, [tail, 1.0 - tail])
     return min(float(lo), point), max(float(hi), point)

@@ -10,8 +10,9 @@ Every input prior is one family, TruncatedGaussian(lam, radius): a Gaussian
 of inverse width lam restricted to the disk |beta| <= radius. The uniform
 disk is lam = 0 and the whole-plane Gaussian is radius = inf; UniformDisk
 and GaussianIso construct those two cases. A prior's `mass` is the share of
-(lam/pi) exp(-lam |beta|^2) inside its disk, tail_mass(lam, radius) the share
-beyond it; the sampler and the quadrature cuts read these two.
+(lam/pi) exp(-lam |beta|^2) inside its disk, written once as
+disk_mass(lam, radius), and tail_mass(lam, radius) the share beyond it; the
+sampler, the quadrature cuts and bounds.truncated_gain_fidelity read these.
 
 seeded_stream(seed, i), a Philox generator on SeedSequence(seed,
 spawn_key=(i,)), is the one random stream: simulation chunk i draws stream i
@@ -90,6 +91,13 @@ def fidelity_kernel(alpha: ComplexAmp, beta: ComplexAmp) -> float:
     return math.exp(-(d.real * d.real + d.imag * d.imag))
 
 
+def disk_mass(lam: float, radius: float) -> float:
+    """Mass of (lam/pi) exp(-lam |beta|^2) inside |beta| <= radius,
+    1 - exp(-lam radius^2); expm1 keeps the lam -> 0 limit exact, and it is
+    exactly 1.0 at radius = inf. Arguments are not checked."""
+    return -math.expm1(-lam * radius**2)
+
+
 @dataclass(frozen=True)
 class TruncatedGaussian:
     """Gaussian ensemble restricted to |beta| <= radius and renormalized.
@@ -112,9 +120,8 @@ class TruncatedGaussian:
 
     @property
     def mass(self) -> float:
-        """Mass of (lam/pi) exp(-lam |beta|^2) inside the disk; expm1 keeps
-        the lam -> 0 limit exact, and it is exactly 1.0 at radius = inf."""
-        return -math.expm1(-self.lam * self.radius**2)
+        """Mass of (lam/pi) exp(-lam |beta|^2) inside the disk: disk_mass."""
+        return disk_mass(self.lam, self.radius)
 
     def density(self, beta: ComplexAmp) -> float:
         b = _require_finite(beta, "beta")

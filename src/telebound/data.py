@@ -7,14 +7,16 @@ measured for it. The on-disk format is a plain CSV file:
     0.25,-1.125,0.58
     ...
 
-decimal-point reals, UTF-8, LF or CRLF line endings.
+decimal-point reals, UTF-8, LF or CRLF line endings (a bare CR also ends a
+line).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -22,6 +24,10 @@ __all__ = ["DatasetRecord", "Dataset", "DatasetFormatError", "load_dataset", "wr
            "CSV_HEADER"]
 
 CSV_HEADER = ("beta_re", "beta_im", "fidelity")
+
+# write_dataset formats and writes this many rows at a time, so its memory
+# stays flat in the number of records.
+CHUNK_SIZE = 65_536
 
 
 class DatasetFormatError(ValueError):
@@ -100,14 +106,17 @@ def _parse_field(raw: str, column: str, line_no: int) -> float:
     return value
 
 
-def load_dataset(path) -> Dataset:
-    """Parse a CSV dataset, reporting the offending line on any defect."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        lines = fh.read().splitlines()
+def _header(line: str) -> tuple:
+    return tuple(part.strip() for part in line.split(","))
+
+
+def _read_lines(fh) -> Dataset:
+    """Parse an open CSV dataset line by line, naming the first offending
+    line. Lines end where the file object splits them: LF, CRLF or CR."""
+    lines = [line.rstrip("\r\n") for line in fh]
     if not lines:
         raise DatasetFormatError("empty file: expected a header line")
-    header = tuple(part.strip() for part in lines[0].split(","))
-    if header != CSV_HEADER:
+    if _header(lines[0]) != CSV_HEADER:
         raise DatasetFormatError(
             f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0]!r}")
     re, im, fid = [], [], []
@@ -130,6 +139,42 @@ def load_dataset(path) -> Dataset:
     return Dataset(np.array(re), np.array(im), np.array(fid))
 
 
+def _read_bulk(fh) -> Optional[Dataset]:
+    """Parse an open CSV dataset with np.loadtxt, or return None when the
+    header, the record count or any record is not what _read_lines accepts."""
+    if _header(fh.readline()) != CSV_HEADER:
+        return None
+    # loadtxt warns on input with no data; that file is _read_lines' error.
+    first = next((line for line in fh if line.strip()), None)
+    if first is None:
+        return None
+    try:
+        table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] == 3:
+            # Dataset rejects non-finite amplitudes and fidelities outside
+            # [0, 1]; the copy makes each column contiguous.
+            return Dataset(*table.T.copy())
+    except ValueError:
+        pass
+    return None
+
+
+def load_dataset(path) -> Dataset:
+    """Parse a CSV dataset, reporting the offending line on any defect.
+
+    The records are parsed in bulk; a file the bulk parse does not accept is
+    read again line by line, which names the offending line. A stream that
+    cannot be read twice, such as a pipe, is read line by line only.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        if fh.seekable():
+            ds = _read_bulk(fh)
+            if ds is not None:
+                return ds
+            fh.seek(0)
+        return _read_lines(fh)
+
+
 def write_dataset(path, records: Records) -> None:
     """Write records in the CSV format accepted by load_dataset.
 
@@ -137,7 +182,9 @@ def write_dataset(path, records: Records) -> None:
     bit-exact.
     """
     ds = as_dataset(records)
+    columns = (ds.beta_re, ds.beta_im, ds.fidelity)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for i in range(len(ds)):
-            fh.write(f"{float(ds.beta_re[i])!r},{float(ds.beta_im[i])!r},{float(ds.fidelity[i])!r}\n")
+        for start in range(0, len(ds), CHUNK_SIZE):
+            fields = [map(repr, c[start:start + CHUNK_SIZE].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

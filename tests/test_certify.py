@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,13 @@ from telebound import (
     write_dataset,
 )
 
+from telebound.core import seeded_stream
+from telebound.data import CHUNK_SIZE, CSV_HEADER, _read_lines
+
 from _oracles import truncated_gain_closed
+
+
+_HEADER = "beta_re,beta_im,fidelity\n"
 
 
 def _write(tmp_path, text, name="ds.csv"):
@@ -38,8 +46,10 @@ class TestLoadDataset:
         assert ds.radius == 0.0
 
     def test_header_only_rejected(self, tmp_path):
-        with pytest.raises(DatasetFormatError, match="no records"):
-            load_dataset(_write(tmp_path, "beta_re,beta_im,fidelity\n"))
+        # Header then blank lines too: the usual error, and no numpy warning.
+        for rest in ("", "\n", "\n\n\n", "\r\n  \r\n\t"):
+            with pytest.raises(DatasetFormatError, match="^dataset has a header but no records$"):
+                load_dataset(_write(tmp_path, _HEADER + rest))
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="header"):
@@ -70,6 +80,79 @@ class TestLoadDataset:
         assert len(ds) == 2
         assert ds.radius == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("text,bulk", [
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8\n", True, id="lf"),
+        pytest.param(_HEADER.replace("\n", "\r\n") + "0.5,-0.25,0.9\r\n1,0,0.8\r\n", True, id="crlf"),
+        pytest.param(_HEADER.replace("\n", "\r") + "0.5,-0.25,0.9\r1,0,0.8\r", True, id="bare-cr"),
+        pytest.param(_HEADER + "\n0.5,-0.25,0.9\n\n\n1,0,0.8\n\n", True, id="blank-lines"),
+        pytest.param(_HEADER + "  \n0.5,-0.25,0.9\n \t \n1,0,0.8\n", False, id="whitespace-lines"),
+        pytest.param(_HEADER + " 0.5 ,  -0.25,0.9  \n", True, id="padded-fields"),
+        pytest.param(_HEADER + "\t0.5,-0.25\t,\t0.9\n", True, id="tab"),
+        pytest.param(_HEADER + "+1,+0.5,+0.25\n", True, id="plus-sign"),
+        pytest.param(_HEADER + ".5,5.,0.5\n", True, id="bare-point"),
+        pytest.param(_HEADER + "1_0,0,0.5\n", False, id="underscore"),
+        pytest.param(_HEADER + "0,0,0.5\nnan,0,0.5\n", False, id="nan-amplitude"),
+        pytest.param(_HEADER + "0,0,nan\n", False, id="nan-fidelity"),
+        pytest.param(_HEADER + "0,inf,0.5\n", False, id="inf"),
+        pytest.param(_HEADER + "0,0,Infinity\n", False, id="Infinity"),
+        pytest.param(_HEADER + "1e,0,0.5\n", False, id="bare-exponent"),
+        pytest.param(_HEADER + "1d0,0,0.5\n", False, id="fortran-exponent"),
+        pytest.param(_HEADER + "0x1p-1,0,0.5\n", False, id="hex-float"),
+        pytest.param(_HEADER + '"1",0,0.5\n', False, id="quoted-field"),
+        pytest.param(_HEADER + "# comment\n0,0,0.5\n", False, id="comment"),
+        pytest.param(_HEADER + "0,0,0.5,\n", False, id="trailing-comma"),
+        pytest.param(_HEADER + "0,,0.5\n", False, id="empty-field"),
+        pytest.param(_HEADER + "0,0\n", False, id="two-fields"),
+        pytest.param(_HEADER + "0,0,0.5,0.5\n1,1,0.5,0.5\n", False, id="four-fields"),
+        pytest.param(_HEADER + "0,0,0.5\n1,1,1.2\n", False, id="fidelity-above-one"),
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8", True, id="no-final-newline"),
+        pytest.param("\ufeff" + _HEADER + "0.5,-0.25,0.9\n", True, id="utf8-bom"),
+        pytest.param(_HEADER + "0,0,-0.0\n", True, id="negative-zero-fidelity"),
+        pytest.param(_HEADER + "1,2\x0c,0.5\n3\x85,4,0.5\n", True, id="form-feed-and-nel"),
+        pytest.param(_HEADER + "\uff11,0,0.5\n", False, id="fullwidth-digit"),
+        pytest.param("x,y,f\n0,0,1\n", False, id="wrong-header"),
+        pytest.param(_HEADER + "\n \n", False, id="header-then-blank"),
+        pytest.param("", False, id="empty-file"),
+    ])
+    def test_bulk_parse_matches_line_reader(self, tmp_path, monkeypatch, text, bulk):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            try:
+                expected = _read_lines(fh)
+            except DatasetFormatError as exc:
+                expected = exc
+        if bulk:
+            # These files must not need the per-line reader at all.
+            monkeypatch.setattr("telebound.data._read_lines", None)
+        try:
+            got = load_dataset(path)
+        except DatasetFormatError as exc:
+            assert isinstance(expected, DatasetFormatError)
+            assert str(exc) == str(expected)
+            return
+        assert isinstance(expected, Dataset)
+        for column in ("beta_re", "beta_im", "fidelity"):
+            a, b = getattr(got, column), getattr(expected, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0.5,-0.25,0.9\n", None),
+        ("0.5,-0.25,0.9\n1,1,1.2\n", "line 3: fidelity 1.2 outside [0, 1]"),
+    ])
+    def test_pipe_is_read_once(self, rows, message):
+        # A pipe cannot be re-read after a rejected bulk parse; the per-line
+        # reader must still name the line.
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, (_HEADER + rows).encode("utf-8"))
+        os.close(write_fd)
+        if message is None:
+            assert load_dataset(read_fd)[0] == DatasetRecord(0.5, -0.25, 0.9)
+        else:
+            with pytest.raises(DatasetFormatError, match=re.escape(message)):
+                load_dataset(read_fd)
+
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
     def test_dataset_rejects_fidelity_outside_unit_interval(self, bad):
         with pytest.raises(ValueError, match="fidelity"):
@@ -83,6 +166,33 @@ class TestLoadDataset:
         assert np.array_equal(back.beta_re, ds.beta_re)
         assert np.array_equal(back.beta_im, ds.beta_im)
         assert np.array_equal(back.fidelity, ds.fidelity)
+
+
+    def test_write_matches_per_row_writer(self, tmp_path):
+        def write_per_row(path, ds):
+            # The per-row writer write_dataset replaced, kept as the reference.
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(",".join(CSV_HEADER) + "\n")
+                for i in range(len(ds)):
+                    fh.write(f"{float(ds.beta_re[i])!r},{float(ds.beta_im[i])!r},"
+                             f"{float(ds.fidelity[i])!r}\n")
+
+        # CHUNK_SIZE + 1 rows cross a chunk boundary; the special values sit
+        # at both ends of the first chunk and in the one-row second chunk.
+        rng = np.random.default_rng(4)
+        n = CHUNK_SIZE + 1
+        re, im, fid = rng.normal(size=n), rng.normal(size=n) * 1e3, rng.random(n)
+        special = [-0.0, 5e-324, 1e-5, 0.58, 1.0]
+        for at in (0, CHUNK_SIZE - len(special), n - 1):
+            k = min(len(special), n - at)
+            re[at:at + k] = [-0.0, 5e-324, 1e-5, 1e16, -1e16][:k]
+            im[at:at + k] = [0.58, -0.0, 1e16, 5e-324, 1e-5][:k]
+            fid[at:at + k] = special[:k]
+        for ds in (Dataset(re, im, fid), Dataset([], [], [])):
+            write_dataset(tmp_path / "chunked.csv", ds)
+            write_per_row(tmp_path / "per_row.csv", ds)
+            assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+        assert (tmp_path / "chunked.csv").read_bytes() == b"beta_re,beta_im,fidelity\n"
 
 
 class TestWeightedFidelity:
@@ -133,7 +243,45 @@ class TestWeightedFidelity:
             weighted_fidelity(Dataset([0.0], [0.0], [0.5]), -1.0)
 
 
+def _gather_bootstrap_ci(ds, lam, resamples, seed, level=0.95):
+    """bootstrap_ci as it was written before resamples were counted: gather
+    the drawn weights and fidelities. Kept as the reference."""
+    rng = seeded_stream(seed, 0)
+    f = ds.fidelity
+    if np.all(f == f[0]):
+        return float(f[0]), float(f[0])
+    s = ds.beta_re**2 + ds.beta_im**2
+    w = np.exp(-lam * (s - np.min(s)))
+    point = float(np.dot(w, f) / np.sum(w))
+    n = f.size
+    stats = np.empty(resamples)
+    for r in range(resamples):
+        idx = rng.integers(0, n, n)
+        wr = w[idx]
+        stats[r] = np.dot(wr, f[idx]) / np.sum(wr)
+    tail = 0.5 * (1.0 - level)
+    lo, hi = np.quantile(stats, [tail, 1.0 - tail])
+    return min(float(lo), point), max(float(hi), point)
+
+
 class TestBootstrapCI:
+    @pytest.mark.parametrize("model,lam,seed", [
+        (SimulatedGain(0.6), 0.0, 0),
+        (SimulatedGain(0.6), 1.0, 3),
+        (SimulatedGain(0.3), 4.60517, 11),
+        (Constant(0.58), 1.0, 5),
+    ])
+    def test_counts_match_gather_reference(self, model, lam, seed):
+        ds = generate_dataset(2.0, 5_000, model, seed=seed)
+        lo, hi = bootstrap_ci(ds, lam, resamples=300, seed=seed)
+        ref_lo, ref_hi = _gather_bootstrap_ci(ds, lam, 300, seed)
+        assert abs(lo - ref_lo) <= 1e-14 and abs(hi - ref_hi) <= 1e-14
+        if isinstance(model, Constant):
+            # The all-equal bypass: a zero-width interval at the point.
+            assert (lo, hi) == (model.value, model.value)
+        else:
+            assert lo < hi
+
     def test_constant_dataset_zero_width(self):
         ds = generate_dataset(1.0, 400, Constant(0.58), seed=0)
         assert bootstrap_ci(ds, 1.0, resamples=200, seed=1) == (0.58, 0.58)
