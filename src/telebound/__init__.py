@@ -10,75 +10,23 @@ teleportation of coherent states:
     finite-area data;
   * how to certify non-classicality of experimental records anyway, by
     Gaussian reweighting against the (1 + lam) / (2 + lam) bound.
+
+Each module's __all__ is its public surface, and the package re-exports
+exactly those names: a public name is declared once, in its own module.
 """
 
-from .bounds import (
-    BoundResult,
-    disk_gain_fidelity,
-    gain_fidelity,
-    gaussian_bound,
-    gaussian_gain_fidelity,
-    optimal_gain_gaussian,
-    select_lambda,
-    truncated_gain_fidelity,
-)
-from .certify import INCONCLUSIVE, NONCLASSICAL, Report, bootstrap_ci, verdict, weighted_fidelity
-from .core import (
-    ComplexAmp,
-    Gain,
-    GaussianIso,
-    Prior,
-    RadialCurve,
-    Strategy,
-    TruncatedGaussian,
-    UniformDisk,
-    apply_strategy,
-    fidelity_kernel,
-    prior_density,
-    tail_mass,
-)
-from .data import Dataset, DatasetFormatError, DatasetRecord, load_dataset, write_dataset
-from .optimize import (
-    ConvergenceError,
-    OptimizationReport,
-    classical_bound_estimate,
-    optimize_gain,
-    optimize_guess_curve,
-)
-from .quadrature import (
-    QuadratureSpec,
-    QuadResult,
-    auto_spec,
-    average_fidelity_quad,
-    decomposition_residual,
-    guess_slice_quad,
-    restricted_fidelity_quad,
-)
-from .simulate import (
-    Constant,
-    FidelityEstimate,
-    FidelityModel,
-    SimulatedGain,
-    generate_dataset,
-    sample_heterodyne,
-    sample_prior,
-    simulate,
-)
+from . import bounds, certify, core, data, optimize, quadrature, simulate
+
+# Built before the star imports, which rebind `simulate` to the function.
+__all__ = [*bounds.__all__, *certify.__all__, *core.__all__, *data.__all__,
+           *optimize.__all__, *quadrature.__all__, *simulate.__all__]
+
+from .bounds import *  # noqa: E402,F403
+from .certify import *  # noqa: E402,F403
+from .core import *  # noqa: E402,F403
+from .data import *  # noqa: E402,F403
+from .optimize import *  # noqa: E402,F403
+from .quadrature import *  # noqa: E402,F403
+from .simulate import *  # noqa: E402,F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ComplexAmp", "GaussianIso", "UniformDisk", "TruncatedGaussian", "Prior",
-    "Gain", "RadialCurve", "Strategy",
-    "fidelity_kernel", "prior_density", "tail_mass", "apply_strategy",
-    "BoundResult", "gaussian_bound", "gaussian_gain_fidelity", "optimal_gain_gaussian",
-    "disk_gain_fidelity", "truncated_gain_fidelity", "gain_fidelity", "select_lambda",
-    "QuadratureSpec", "QuadResult", "auto_spec", "average_fidelity_quad",
-    "restricted_fidelity_quad", "decomposition_residual", "guess_slice_quad",
-    "OptimizationReport", "ConvergenceError", "optimize_gain", "optimize_guess_curve",
-    "classical_bound_estimate",
-    "FidelityEstimate", "Constant", "SimulatedGain", "FidelityModel",
-    "sample_heterodyne", "sample_prior", "simulate", "generate_dataset",
-    "Dataset", "DatasetRecord", "DatasetFormatError", "load_dataset", "write_dataset",
-    "Report", "NONCLASSICAL", "INCONCLUSIVE", "weighted_fidelity", "bootstrap_ci", "verdict",
-]

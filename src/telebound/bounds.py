@@ -22,6 +22,7 @@ __all__ = [
     "disk_gain_fidelity",
     "truncated_gain_fidelity",
     "select_lambda",
+    "gain_fidelity",
 ]
 
 
@@ -116,7 +117,14 @@ def select_lambda(radius: float, epsilon: float) -> float:
     check_positive(radius, "radius")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"select_lambda requires 0 < epsilon < 1, got {epsilon}")
-    return -math.log(epsilon) / radius**2
+    try:
+        lam = -math.log(epsilon) / radius**2
+    except (OverflowError, ZeroDivisionError):
+        lam = math.nan
+    if not (0.0 < lam < math.inf):
+        raise ValueError(f"select_lambda: ln(1/epsilon) / radius**2 is not a finite lam > 0 "
+                         f"for radius {radius} and epsilon {epsilon}")
+    return lam
 
 
 def gain_fidelity(prior: Prior, g: float) -> float:

@@ -32,10 +32,6 @@ __all__ = ["Report", "NONCLASSICAL", "INCONCLUSIVE", "weighted_fidelity", "boots
 NONCLASSICAL = "NONCLASSICAL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# Guards the tail <= epsilon comparison against last-ulp rounding, since
-# select_lambda makes them equal by construction.
-_TAIL_SLACK = 1e-9
-
 # Report fields whose serialized key differs from the field name.
 _KEYS = {"lam": "lambda"}
 
@@ -134,14 +130,14 @@ def verdict(records: Records, epsilon: float, resamples: int = 1000, seed: int =
     `radius` asserts the experimental area instead and must contain all
     records. lam is then the smallest inverse width whose Gaussian tail
     outside that radius is epsilon, and the verdict is NONCLASSICAL exactly
-    when the CI lower bound clears (1 + lam) / (2 + lam) and the tail
-    condition holds.
+    when the CI lower bound clears (1 + lam) / (2 + lam). The bootstrap
+    needs at least 2 records.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     ds = as_dataset(records)
-    if len(ds) == 0:
-        raise ValueError("verdict needs a nonempty dataset")
+    if len(ds) < 2:
+        raise ValueError(f"verdict needs at least 2 records, got {len(ds)}")
     data_radius = ds.radius
     if radius is not None:
         check_positive(radius, "radius")
@@ -159,8 +155,7 @@ def verdict(records: Records, epsilon: float, resamples: int = 1000, seed: int =
     bound = gaussian_bound(lam)
     wf = weighted_fidelity(ds, lam)
     ci_low, ci_high = bootstrap_ci(ds, lam, resamples=resamples, seed=seed, level=level)
-    is_nonclassical = ci_low > bound and tail <= epsilon * (1.0 + _TAIL_SLACK)
     return Report(lam=lam, tail_mass=tail, sample_radius=used_radius, weighted_fidelity=wf,
                   ci_low=ci_low, ci_high=ci_high, classical_bound=bound,
-                  verdict=NONCLASSICAL if is_nonclassical else INCONCLUSIVE,
+                  verdict=NONCLASSICAL if ci_low > bound else INCONCLUSIVE,
                   n_records=len(ds), seed=seed)

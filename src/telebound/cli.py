@@ -21,7 +21,7 @@ import sys
 from .bounds import gaussian_bound
 from .certify import verdict
 from .core import Gain, GaussianIso, Prior, RadialCurve, Strategy, TruncatedGaussian, UniformDisk
-from .data import DatasetFormatError, load_dataset, write_dataset
+from .data import DatasetFormatError, load_dataset, undecodable_line, write_dataset
 from .optimize import ConvergenceError, optimize_gain, optimize_guess_curve
 from .quadrature import auto_spec, average_fidelity_quad
 from .simulate import Constant, SimulatedGain, generate_dataset, simulate
@@ -57,19 +57,25 @@ def _parse_model(text: str):
 
 
 def _load_curve(path: str) -> RadialCurve:
-    nodes = []
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'radius,guess_radius'")
-            try:
-                nodes.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: non-numeric node") from None
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            line_no = undecodable_line(fh)
+            where = f"{path}:{line_no}" if line_no else path
+            raise ValueError(f"{where}: not valid UTF-8 ({exc.reason})") from None
+    nodes = []
+    for line_no, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{line_no}: expected 'radius,guess_radius'")
+        try:
+            nodes.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: non-numeric node") from None
     return RadialCurve(tuple(nodes))
 
 
@@ -108,8 +114,7 @@ def _cmd_quad(args) -> int:
     _print_rows([("value", f"{result.value:.12f}"),
                  ("error_estimate", f"{result.error_estimate:.3e}"),
                  ("outer_cut_radius", f"{result.spec.outer_cut_radius:.6f}"),
-                 ("radial_nodes", str(result.spec.radial_nodes)),
-                 ("angular_nodes", str(result.spec.angular_nodes))])
+                 ("radial_nodes", str(result.spec.radial_nodes))])
     return 0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -113,10 +114,21 @@ class TruncatedGaussian:
 
     def __post_init__(self):
         check_positive(self.lam, "lam", zero_ok=True)
-        if self.radius != math.inf:
-            check_positive(self.radius, "radius")
-        elif self.lam == 0.0:
-            raise ValueError(f"a whole-plane prior (radius = inf) needs lam > 0, got {self.lam}")
+        if self.radius == math.inf:
+            if self.lam == 0.0:
+                raise ValueError(f"a whole-plane prior (radius = inf) needs lam > 0, got {self.lam}")
+            return
+        check_positive(self.radius, "radius")
+        try:
+            # The density divides by this; below the smallest normal float
+            # the quotient overflows.
+            norm = self.mass if self.lam > 0.0 else self.radius**2
+        except OverflowError:
+            raise ValueError(f"radius**2 overflows, got radius {self.radius}") from None
+        if norm < sys.float_info.min:
+            what = "disk mass" if self.lam > 0.0 else "radius**2"
+            raise ValueError(f"lam = {self.lam} and radius = {self.radius} leave a {what} of "
+                             f"{norm}, below the smallest normal float")
 
     @property
     def mass(self) -> float:

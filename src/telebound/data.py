@@ -20,8 +20,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-__all__ = ["DatasetRecord", "Dataset", "DatasetFormatError", "load_dataset", "write_dataset",
-           "CSV_HEADER"]
+__all__ = ["DatasetRecord", "Dataset", "DatasetFormatError", "load_dataset", "write_dataset"]
 
 CSV_HEADER = ("beta_re", "beta_im", "fidelity")
 
@@ -110,10 +109,34 @@ def _header(line: str) -> tuple:
     return tuple(part.strip() for part in line.split(","))
 
 
+def undecodable_line(fh) -> Optional[int]:
+    """Line number of the first byte of the open text file fh that is not
+    UTF-8, with lines ending at LF, CRLF or CR; None when fh cannot be read
+    again. The text layer decodes ahead in chunks, so the line is counted in
+    the raw bytes, where no UTF-8 sequence contains a CR or LF byte."""
+    if not fh.seekable():
+        return None
+    fh.buffer.seek(0)
+    line_no = 1
+    for line in fh.buffer:
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = line[:exc.start]
+            return line_no + head.count(b"\r") - head.count(b"\r\n")
+        line_no += 1 + line.count(b"\r") - line.count(b"\r\n")
+    return None
+
+
 def _read_lines(fh) -> Dataset:
     """Parse an open CSV dataset line by line, naming the first offending
     line. Lines end where the file object splits them: LF, CRLF or CR."""
-    lines = [line.rstrip("\r\n") for line in fh]
+    try:
+        lines = [line.rstrip("\r\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        line_no = undecodable_line(fh)
+        where = f"line {line_no}: " if line_no else ""
+        raise DatasetFormatError(f"{where}not valid UTF-8 ({exc.reason})") from None
     if not lines:
         raise DatasetFormatError("empty file: expected a header line")
     if _header(lines[0]) != CSV_HEADER:
@@ -142,19 +165,19 @@ def _read_lines(fh) -> Dataset:
 def _read_bulk(fh) -> Optional[Dataset]:
     """Parse an open CSV dataset with np.loadtxt, or return None when the
     header, the record count or any record is not what _read_lines accepts."""
-    if _header(fh.readline()) != CSV_HEADER:
-        return None
-    # loadtxt warns on input with no data; that file is _read_lines' error.
-    first = next((line for line in fh if line.strip()), None)
-    if first is None:
-        return None
     try:
+        if _header(fh.readline()) != CSV_HEADER:
+            return None
+        # loadtxt warns on input with no data; that file is _read_lines' error.
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            return None
         table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
         if table.shape[1] == 3:
             # Dataset rejects non-finite amplitudes and fidelities outside
             # [0, 1]; the copy makes each column contiguous.
             return Dataset(*table.T.copy())
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError included
         pass
     return None
 

@@ -25,7 +25,6 @@ __all__ = [
     "optimize_gain",
     "optimize_guess_curve",
     "classical_bound_estimate",
-    "GAIN_SEARCH_MAX",
 ]
 
 # Optima are provably at or below gain 1 for the supported priors; the extra

@@ -58,7 +58,6 @@ __all__ = [
     "restricted_fidelity_quad",
     "decomposition_residual",
     "guess_slice_quad",
-    "BetaRule",
 ]
 
 # Whole-plane Gaussian priors flatter than this make the alpha integral
@@ -116,7 +115,8 @@ class QuadratureSpec:
                      in the result for reproducibility
 
     The relative angle is integrated in closed form, so there is no angular
-    resolution to choose; angular_nodes reads 1 for reports that list it.
+    resolution to choose; angular_nodes reads 1 for the benchmark's
+    per-layer report, which still lists it.
     """
 
     radial_nodes: int = 16

@@ -40,7 +40,6 @@ __all__ = [
     "sample_prior",
     "simulate",
     "generate_dataset",
-    "CHUNK_SIZE",
 ]
 
 CHUNK_SIZE = 1 << 16

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,3 +154,7 @@ class TestSelectLambda:
             select_lambda(1.0, 1.0)
         with pytest.raises(ValueError):
             select_lambda(1.0, 1.5)
+        # radius**2 underflows to 0, is subnormal, overflows; lam underflows.
+        for radius, eps in [(1e-200, 0.01), (1e-160, 0.01), (1e200, 0.01), (1e154, 1 - 2**-53)]:
+            with pytest.raises(ValueError, match=re.escape(f"radius {radius} and epsilon {eps}")):
+                select_lambda(radius, eps)

@@ -113,10 +113,13 @@ class TestLoadDataset:
         pytest.param("x,y,f\n0,0,1\n", False, id="wrong-header"),
         pytest.param(_HEADER + "\n \n", False, id="header-then-blank"),
         pytest.param("", False, id="empty-file"),
+        # A bytes input is written as is: here the 0xff sits on line 3, past
+        # CR and CRLF line ends.
+        pytest.param(_HEADER.encode() + b"0,0,0.5\r\n1,1,0.5\r0.\xff5,0,0.5\n", False, id="non-utf8"),
     ])
     def test_bulk_parse_matches_line_reader(self, tmp_path, monkeypatch, text, bulk):
         path = tmp_path / "ds.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             try:
                 expected = _read_lines(fh)
@@ -140,12 +143,15 @@ class TestLoadDataset:
     @pytest.mark.parametrize("rows,message", [
         ("0.5,-0.25,0.9\n", None),
         ("0.5,-0.25,0.9\n1,1,1.2\n", "line 3: fidelity 1.2 outside [0, 1]"),
+        # A pipe cannot be read again to find the line of the bad byte.
+        pytest.param("0.5,-0.25,0.9\n1,1,\udcff\n", "not valid UTF-8 (invalid start byte)",
+                     id="non-utf8"),
     ])
     def test_pipe_is_read_once(self, rows, message):
         # A pipe cannot be re-read after a rejected bulk parse; the per-line
         # reader must still name the line.
         read_fd, write_fd = os.pipe()
-        os.write(write_fd, (_HEADER + rows).encode("utf-8"))
+        os.write(write_fd, (_HEADER + rows).encode("utf-8", "surrogateescape"))
         os.close(write_fd)
         if message is None:
             assert load_dataset(read_fd)[0] == DatasetRecord(0.5, -0.25, 0.9)
@@ -392,6 +398,8 @@ class TestVerdict:
             verdict(ds, epsilon=1.0)
         with pytest.raises(ValueError):
             verdict(Dataset([], [], []), epsilon=0.01)
+        with pytest.raises(ValueError, match="^verdict needs at least 2 records, got 1$"):
+            verdict(Dataset([0.5], [0.0], [0.9]), epsilon=0.01)
 
 
 class TestReport:

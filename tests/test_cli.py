@@ -1,9 +1,12 @@
 import json
 import math
+import multiprocessing
+import threading
 
 import pytest
 
 from telebound.cli import main
+from telebound.simulate import CHUNK_SIZE
 
 
 def run(capsys, *argv):
@@ -93,6 +96,25 @@ class TestQuad:
         code, _, err = run(capsys, "quad", "--prior", "disk:1", "--curve", str(path))
         assert code == 2
         assert ":2" in err
+
+    def test_rows(self, capsys):
+        code, out, _ = run(capsys, "quad", "--prior", "disk:2", "--gain", "0.5")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "value", "error_estimate", "outer_cut_radius", "radial_nodes"]
+
+    def test_non_utf8_curve_file_names_line(self, capsys, tmp_path):
+        path = tmp_path / "curve.txt"
+        path.write_bytes(b"0, 0\r\n1, 0.45\r\n3.0 0.9 \xff\n")
+        code, _, err = run(capsys, "quad", "--prior", "disk:1", "--curve", str(path))
+        assert code == 2
+        assert f"{path}:3: not valid UTF-8" in err
+
+    @pytest.mark.parametrize("command", [("quad", "--gain", "0.5"), ("optimize", "--family", "gain")])
+    def test_underflowing_prior_is_input_error(self, capsys, command):
+        code, _, err = run(capsys, command[0], "--prior", "truncgauss:1e-200,1e-200", *command[1:])
+        assert code == 2
+        assert "lam = 1e-200 and radius = 1e-200" in err
 
 
 class TestOptimize:
@@ -184,6 +206,28 @@ class TestGenerateAnalyze:
         assert vals["verdict"] == "INCONCLUSIVE"
         assert "note:" in out  # the CI rule is flagged as a library addition
 
+    def test_single_record_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("beta_re,beta_im,fidelity\n0.5,0,0.9\n")
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "verdict needs at least 2 records, got 1" in err
+
+    def test_underflowing_radius_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "origin.csv"
+        path.write_text("beta_re,beta_im,fidelity\n0,0,0.5\n0,0,0.6\n")
+        code, _, err = run(capsys, "analyze", str(path), "--radius", "1e-200")
+        assert code == 2
+        assert "radius 1e-200" in err
+
+    def test_non_utf8_csv_names_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        # The 0xff sits on line 4, counted past CRLF and bare CR line ends.
+        path.write_bytes(b"beta_re,beta_im,fidelity\n0,0,0.5\r\n1,1,0.5\r0.\xff5,0,0.5\n")
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err == "error: line 4: not valid UTF-8 (invalid start byte)\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/file.csv")
         assert code == 2
@@ -221,3 +265,15 @@ class TestGenerateAnalyze:
         code, _, err = run(capsys, "generate", "--radius", "1", "-n", "10",
                            "--model", "const:1.5", "--seed", "0", "-o", str(tmp_path / "x.csv"))
         assert code == 2
+
+
+def test_no_worker_outlives_a_call(capsys, tmp_path):
+    # CHUNK_SIZE + 1 samples make two chunks, so two workers both run.
+    threads = threading.active_count()
+    n = str(CHUNK_SIZE + 1)
+    assert run(capsys, "simulate", "--prior", "disk:2", "--gain", "0.5", "-n", n,
+               "--workers", "2")[0] == 0
+    assert run(capsys, "generate", "--radius", "2", "-n", n, "--model", "gain:0.5",
+               "--workers", "2", "-o", str(tmp_path / "d.csv"))[0] == 0
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []

@@ -99,6 +99,16 @@ class TestPriorDensity:
             UniformDisk(math.inf)
         with pytest.raises(ValueError):
             TruncatedGaussian(1.0, math.nan)
+        # The normalization leaves the normal floats: a disk mass of 0, a
+        # subnormal one, radius**2 overflowing, radius**2 subnormal.
+        with pytest.raises(ValueError, match="lam = 1e-200 and radius = 1e-200"):
+            TruncatedGaussian(1e-200, 1e-200)
+        with pytest.raises(ValueError, match="below the smallest normal float"):
+            TruncatedGaussian(1e-300, 1e-5)
+        with pytest.raises(ValueError, match="radius\\*\\*2 overflows"):
+            UniformDisk(1e200)
+        with pytest.raises(ValueError, match="radius\\*\\*2 of 1e-320, below"):
+            UniformDisk(1e-160)
 
 
 CURVE = RadialCurve(((0.0, 0.0), (0.7, 0.4), (1.5, 1.0), (3.0, 1.9)))
