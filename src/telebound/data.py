@@ -9,6 +9,10 @@ measured for it. The on-disk format is a plain CSV file:
 
 decimal-point reals, UTF-8, LF or CRLF line endings (a bare CR also ends a
 line).
+
+write_dataset's bytes equal those of a per-row writer joining repr(value):
+orjson formats the rows, and repr formats each row holding a value outside
+1e-4 <= |x| < 1e16 (other than 0).
 """
 
 from __future__ import annotations
@@ -198,16 +202,37 @@ def load_dataset(path) -> Dataset:
         return _read_lines(fh)
 
 
+def _format_rows(block: np.ndarray) -> bytes:
+    """CSV lines for a C-contiguous (rows, 3) float64 block, byte-equal to
+    joining the repr of each value. orjson writes the same shortest
+    round-trip digits as repr, in the same notation for 0 and for
+    1e-4 <= |x| < 1e16; runs of rows holding any other value are formatted
+    by repr."""
+    import orjson  # here, not at module level: `import telebound` stays lean
+
+    magnitude = np.abs(block)
+    needs_repr = ~(((magnitude >= 1e-4) & (magnitude < 1e16)) | (block == 0.0)).all(axis=1)
+    cuts = [0, *(np.flatnonzero(np.diff(needs_repr)) + 1).tolist(), len(block)]
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if needs_repr[lo]:
+            columns = [map(repr, c) for c in block[lo:hi].T.tolist()]
+            pieces.append("\n".join(map(",".join, zip(*columns))).encode())
+        else:
+            text = orjson.dumps(block[lo:hi], option=orjson.OPT_SERIALIZE_NUMPY)
+            pieces.append(text[2:-2].replace(b"],[", b"\n"))
+    return b"\n".join(pieces) + b"\n"
+
+
 def write_dataset(path, records: Records) -> None:
     """Write records in the CSV format accepted by load_dataset.
 
-    Floats are written with repr precision, so a write/load round trip is
-    bit-exact.
+    Each float is written as its repr, so a write/load round trip is
+    bit-exact. Rows are formatted CHUNK_SIZE at a time by _format_rows.
     """
     ds = as_dataset(records)
     columns = (ds.beta_re, ds.beta_im, ds.fidelity)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_HEADER).encode() + b"\n")
         for start in range(0, len(ds), CHUNK_SIZE):
-            fields = [map(repr, c[start:start + CHUNK_SIZE].tolist()) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            fh.write(_format_rows(np.column_stack([c[start:start + CHUNK_SIZE] for c in columns])))

@@ -30,10 +30,10 @@ The outer (alpha) integral is cut at
 
 where b_max is the beta support radius; beyond the cut the integrand is
 bounded by exp(-(a - b_max)^2), giving a certified tail below tol. For
-whole-plane Gaussian priors the beta integral is cut at the radius whose
-Gaussian tail mass is below tol as well. Both contributions enter the
-reported error estimate, together with the difference between the requested
-resolution and a doubled-resolution pass.
+Gaussian priors the beta integral is cut at the radius whose tail mass is
+below tol as well, or at the disk radius when that is smaller. Both
+contributions enter the reported error estimate, together with the
+difference between the requested resolution and a doubled-resolution pass.
 """
 
 from __future__ import annotations
@@ -275,10 +275,18 @@ def _evaluate(radial_weight, b_lo, b_hi, strategy, spec, beta_tail) -> QuadResul
 
 
 def _beta_support(prior: Prior, spec: QuadratureSpec):
-    """Upper beta cut for `prior` and the prior mass beyond it; a
-    whole-plane prior is cut where its tail is half the truncation budget."""
+    """Upper beta cut for `prior` and the prior mass beyond it; a Gaussian
+    prior is cut where its tail is half the truncation budget, or at its disk
+    radius when that comes first. Cutting a narrow truncated Gaussian inside
+    its disk keeps the radial panels on its peak."""
     b_hi = prior.support_radius(spec.truncation_tol / 2.0)
     if prior.radius != math.inf:
+        if prior.lam > 0.0:
+            # The truncated density is the Gaussian one divided by the disk
+            # mass, so its tail beyond b is exp(-lam b^2) / mass.
+            b_cut = math.sqrt((math.log(2.0 / spec.truncation_tol) - math.log(prior.mass)) / prior.lam)
+            if b_cut < b_hi:
+                return b_cut, math.exp(-prior.lam * b_cut**2) / prior.mass
         return b_hi, 0.0
     if prior.lam < GAUSSIAN_LAMBDA_FLOOR:
         raise ValueError(

@@ -74,6 +74,11 @@ class TestQuad:
         assert code == 0
         assert 0.6 < float(kv(out)["value"]) < 0.7
 
+    def test_narrow_truncgauss_prior(self, capsys):
+        code, out, _ = run(capsys, "quad", "--prior", "truncgauss:1e10,1", "--gain", "0.5")
+        assert code == 0
+        assert float(kv(out)["value"]) == pytest.approx(0.8, abs=1e-9)
+
     def test_curve_file(self, capsys, tmp_path):
         path = tmp_path / "curve.txt"
         path.write_text("# radius, guess radius\n0, 0\n1, 0.45\n3.0 0.9\n")

@@ -68,6 +68,13 @@ class TestOracleAgreement:
         assert abs(res.value - gaussian_gain_fidelity(lam, g)) <= res.error_estimate
         assert res.error_estimate <= res.spec.truncation_tol
 
+    @pytest.mark.parametrize("lam", [1e3, 1e6, 1e10])
+    def test_narrow_truncated_gaussian(self, lam):
+        # The prior's mass sits far inside its disk: the beta cut must follow it.
+        res = average_fidelity_quad(TruncatedGaussian(lam, 1.0), Gain(0.5))
+        assert abs(res.value - truncated_gain_fidelity(lam, 1.0, 0.5)) <= res.error_estimate
+        assert res.error_estimate <= res.spec.truncation_tol
+
     def test_point_like_disk(self):
         res = average_fidelity_quad(UniformDisk(1e-4), Gain(0.0))
         assert res.value == pytest.approx(1.0, abs=1e-7)  # 1 - O(R^2)

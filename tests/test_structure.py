@@ -4,6 +4,8 @@ they make up."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import telebound
@@ -108,3 +110,25 @@ def test_package_exports_are_the_objects_their_modules_define():
         if getattr(telebound, name) is not getattr(module, name):
             found.append(f"telebound.{name} is not telebound.{owner[name]}.{name}")
     assert found == []
+
+
+def _imported_modules(tree):
+    """Top-level names of the modules a parsed module imports, anywhere in it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_the_writer_imports_orjson():
+    assert {path.stem for path in MODULES if "orjson" in set(_imported_modules(_tree(path)))} == {"data"}
+
+
+def test_import_leaves_orjson_unloaded():
+    # Every CLI call pays the cold import; orjson loads on the first write.
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import telebound; "
+            "print('orjson' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "False"
