@@ -206,22 +206,20 @@ def _format_rows(block: np.ndarray) -> bytes:
     """CSV lines for a C-contiguous (rows, 3) float64 block, byte-equal to
     joining the repr of each value. orjson writes the same shortest
     round-trip digits as repr, in the same notation for 0 and for
-    1e-4 <= |x| < 1e16; runs of rows holding any other value are formatted
-    by repr."""
+    1e-4 <= |x| < 1e16. The rows holding any other value are formatted by
+    repr and merged back in place, so the cost does not grow with how those
+    rows are scattered."""
     import orjson  # here, not at module level: `import telebound` stays lean
 
     magnitude = np.abs(block)
     needs_repr = ~(((magnitude >= 1e-4) & (magnitude < 1e16)) | (block == 0.0)).all(axis=1)
-    cuts = [0, *(np.flatnonzero(np.diff(needs_repr)) + 1).tolist(), len(block)]
-    pieces = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if needs_repr[lo]:
-            columns = [map(repr, c) for c in block[lo:hi].T.tolist()]
-            pieces.append("\n".join(map(",".join, zip(*columns))).encode())
-        else:
-            text = orjson.dumps(block[lo:hi], option=orjson.OPT_SERIALIZE_NUMPY)
-            pieces.append(text[2:-2].replace(b"],[", b"\n"))
-    return b"\n".join(pieces) + b"\n"
+    text = orjson.dumps(block[~needs_repr], option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+    if not needs_repr.any():
+        return text.replace(b"],[", b"\n") + b"\n"
+    ordinary = iter(text.split(b"],["))
+    columns = [map(repr, c) for c in block[needs_repr].T.tolist()]
+    fixed = iter("\n".join(map(",".join, zip(*columns))).encode().split(b"\n"))
+    return b"\n".join([next(fixed) if f else next(ordinary) for f in needs_repr.tolist()]) + b"\n"
 
 
 def write_dataset(path, records: Records) -> None:

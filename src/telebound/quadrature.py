@@ -286,7 +286,7 @@ def _beta_support(prior: Prior, spec: QuadratureSpec):
             # mass, so its tail beyond b is exp(-lam b^2) / mass.
             b_cut = math.sqrt((math.log(2.0 / spec.truncation_tol) - math.log(prior.mass)) / prior.lam)
             if b_cut < b_hi:
-                return b_cut, math.exp(-prior.lam * b_cut**2) / prior.mass
+                return b_cut, tail_mass(prior.lam, b_cut) / prior.mass
         return b_hi, 0.0
     if prior.lam < GAUSSIAN_LAMBDA_FLOOR:
         raise ValueError(

@@ -183,17 +183,38 @@ class TestLoadDataset:
                     fh.write(f"{float(ds.beta_re[i])!r},{float(ds.beta_im[i])!r},"
                              f"{float(ds.fidelity[i])!r}\n")
 
-        # Random bit patterns cover every exponent and both signs. The edge
-        # values sit where orjson's notation departs from repr's (1e-4 and
-        # 1e16): 50 ulps either side of each power of ten from 1e-5 to 1e17,
-        # signed zeros, the smallest subnormal and the largest double. They
-        # fill one column at a time, in consecutive blocks of rows whose
-        # other values need no repr, on both sides of the first chunk boundary.
+        # CHUNK_SIZE + 1 rows cross a chunk boundary; the special values sit
+        # at both ends of the first chunk and in the one-row second chunk.
         rng = np.random.default_rng(4)
+        n = CHUNK_SIZE + 1
+        re, im, fid = rng.normal(size=n), rng.normal(size=n) * 1e3, rng.random(n)
+        special = [-0.0, 5e-324, 1e-5, 0.58, 1.0]
+        for at in (0, CHUNK_SIZE - len(special), n - 1):
+            k = min(len(special), n - at)
+            re[at:at + k] = [-0.0, 5e-324, 1e-5, 1e16, -1e16][:k]
+            im[at:at + k] = [0.58, -0.0, 1e16, 5e-324, 1e-5][:k]
+            fid[at:at + k] = special[:k]
+        datasets = [Dataset(re, im, fid)]
+
+        # Random 52-bit mantissas of both signs, with binary exponents from
+        # -14 to 53: most rows stay where orjson formats every value
+        # (1e-4 <= |x| < 1e16), and the rows with a value just outside it are
+        # scattered repr rows. Rows 50,000 to 55,000 hold random bit patterns
+        # over every exponent, formatted by repr. The edge values sit where
+        # orjson's notation departs from repr's (1e-4 and 1e16): 50 ulps
+        # either side of each power of ten from 1e-5 to 1e17, signed zeros,
+        # the smallest subnormal and the largest double. They fill one column
+        # at a time, in consecutive blocks of rows whose other values need no
+        # repr, on both sides of the first chunk boundary.
         n = 70_000
-        bits = rng.integers(0, 2**64, size=(2, n), dtype=np.uint64).view(np.float64)
+        sign = rng.choice([-1.0, 1.0], (2, n))
+        re, im = sign * np.ldexp(1.0 + rng.random((2, n)), rng.integers(-14, 54, (2, n)))
+        fid = np.ldexp(1.0 + rng.random(n), rng.integers(-14, 0, n))
+        magnitude = np.abs(np.stack([re, im, fid])[:, :50_000])
+        assert np.count_nonzero(((magnitude >= 1e-4) & (magnitude < 1e16)).all(axis=0)) > 45_000
+        bits = rng.integers(0, 2**64, size=(2, 5_000), dtype=np.uint64).view(np.float64)
         bits[~np.isfinite(bits)] = 0.5
-        (re, im), fid = bits, rng.random(n)
+        re[50_000:55_000], im[50_000:55_000] = bits
         powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
         ulps = (powers.view(np.int64)[:, None] + np.arange(-50, 51)).view(np.float64).ravel()
         edge = np.concatenate([ulps, -ulps, [0.0, -0.0, 5e-324, 1.7976931348623157e308,
@@ -202,10 +223,16 @@ class TestLoadDataset:
         start = CHUNK_SIZE - 3 * edge.size // 2
         for column, values in ((re, edge), (im, edge), (fid, unit)):
             rows = slice(start, start + values.size)
-            re[rows], im[rows] = rng.normal(size=(2, values.size))
+            re[rows], im[rows], fid[rows] = *rng.normal(size=(2, values.size)), rng.random(values.size)
             column[rows] = values
             start += values.size
-        for ds in (Dataset(re, im, fid), Dataset([], [], [])):
+        assert start <= n
+        datasets.append(Dataset(re, im, fid))
+
+        # A block with no value outside orjson's range, and an empty dataset.
+        datasets += [Dataset(1.0 + rng.random(1_000), -8.0 - rng.random(1_000), 0.5 + rng.random(1_000) / 2),
+                     Dataset([], [], [])]
+        for ds in datasets:
             write_dataset(tmp_path / "chunked.csv", ds)
             write_per_row(tmp_path / "per_row.csv", ds)
             assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
