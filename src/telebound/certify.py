@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import gaussian_bound, select_lambda
 from .core import check_count, check_positive, seeded_stream, tail_mass
-from .data import Records, as_dataset
+from .data import Dataset
 
 __all__ = ["Report", "NONCLASSICAL", "INCONCLUSIVE", "weighted_fidelity", "bootstrap_ci", "verdict"]
 
@@ -65,27 +65,26 @@ class Report:
         return cls(**{f.name: d[_KEYS.get(f.name, f.name)] for f in fields(cls)})
 
 
-def _weighted_mean(records: Records, lam: float, minimum: int, caller: str):
+def _weighted_mean(records: Dataset, lam: float, minimum: int, caller: str):
     """(point estimate, fidelities, weights) of the Gaussian-weighted mean.
 
     The weights are None when every fidelity is equal: the mean is then that
     value whatever the weights.
     """
     check_positive(lam, "lam", zero_ok=True)
-    ds = as_dataset(records)
-    if len(ds) < minimum:
-        raise ValueError(f"{caller} needs at least {minimum} record(s), got {len(ds)}")
-    f = ds.fidelity
+    if len(records) < minimum:
+        raise ValueError(f"{caller} needs at least {minimum} record(s), got {len(records)}")
+    f = records.fidelity
     if np.all(f == f[0]):
         return float(f[0]), f, None
-    s = ds.beta_re**2 + ds.beta_im**2
+    s = records.beta_re**2 + records.beta_im**2
     # Shift the exponent so large lam cannot underflow every weight; the
     # self-normalized ratio is unchanged.
     w = np.exp(-lam * (s - np.min(s)))
     return float(np.dot(w, f) / np.sum(w)), f, w
 
 
-def weighted_fidelity(records: Records, lam: float) -> float:
+def weighted_fidelity(records: Dataset, lam: float) -> float:
     """Self-normalized Gaussian-weighted mean fidelity.
 
     sum_i exp(-lam |beta_i|^2) F_i / sum_i exp(-lam |beta_i|^2). Over
@@ -95,7 +94,7 @@ def weighted_fidelity(records: Records, lam: float) -> float:
     return _weighted_mean(records, lam, 1, "weighted_fidelity")[0]
 
 
-def bootstrap_ci(records: Records, lam: float, resamples: int = 1000, seed: int = 0,
+def bootstrap_ci(records: Dataset, lam: float, resamples: int = 1000, seed: int = 0,
                  level: float = 0.95) -> Tuple[float, float]:
     """Percentile bootstrap interval for weighted_fidelity.
 
@@ -122,7 +121,7 @@ def bootstrap_ci(records: Records, lam: float, resamples: int = 1000, seed: int 
     return min(float(lo), point), max(float(hi), point)
 
 
-def verdict(records: Records, epsilon: float, resamples: int = 1000, seed: int = 0,
+def verdict(records: Dataset, epsilon: float, resamples: int = 1000, seed: int = 0,
             radius: Optional[float] = None, level: float = 0.95) -> Report:
     """Run the certification procedure on a dataset.
 
@@ -135,10 +134,9 @@ def verdict(records: Records, epsilon: float, resamples: int = 1000, seed: int =
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    ds = as_dataset(records)
-    if len(ds) < 2:
-        raise ValueError(f"verdict needs at least 2 records, got {len(ds)}")
-    data_radius = ds.radius
+    if len(records) < 2:
+        raise ValueError(f"verdict needs at least 2 records, got {len(records)}")
+    data_radius = records.radius
     if radius is not None:
         check_positive(radius, "radius")
         if data_radius > radius * (1.0 + 1e-12):
@@ -153,9 +151,9 @@ def verdict(records: Records, epsilon: float, resamples: int = 1000, seed: int =
     lam = select_lambda(used_radius, epsilon)
     tail = tail_mass(lam, used_radius)
     bound = gaussian_bound(lam)
-    wf = weighted_fidelity(ds, lam)
-    ci_low, ci_high = bootstrap_ci(ds, lam, resamples=resamples, seed=seed, level=level)
+    wf = weighted_fidelity(records, lam)
+    ci_low, ci_high = bootstrap_ci(records, lam, resamples=resamples, seed=seed, level=level)
     return Report(lam=lam, tail_mass=tail, sample_radius=used_radius, weighted_fidelity=wf,
                   ci_low=ci_low, ci_high=ci_high, classical_bound=bound,
                   verdict=NONCLASSICAL if ci_low > bound else INCONCLUSIVE,
-                  n_records=len(ds), seed=seed)
+                  n_records=len(records), seed=seed)

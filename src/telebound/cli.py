@@ -21,7 +21,7 @@ import sys
 from .bounds import gaussian_bound
 from .certify import verdict
 from .core import Gain, GaussianIso, Prior, RadialCurve, Strategy, TruncatedGaussian, UniformDisk
-from .data import DatasetFormatError, load_dataset, undecodable_line, write_dataset
+from .data import DatasetFormatError, load_dataset, utf8_error, write_dataset
 from .optimize import ConvergenceError, optimize_gain, optimize_guess_curve
 from .quadrature import auto_spec, average_fidelity_quad
 from .simulate import Constant, SimulatedGain, generate_dataset, simulate
@@ -57,13 +57,12 @@ def _parse_model(text: str):
 
 
 def _load_curve(path: str) -> RadialCurve:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            line_no = undecodable_line(fh)
-            where = f"{path}:{line_no}" if line_no else path
-            raise ValueError(f"{where}: not valid UTF-8 ({exc.reason})") from None
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    for line_no, line in enumerate(lines, start=1):
+        reason = utf8_error(line)
+        if reason is not None:
+            raise ValueError(f"{path}:{line_no}: not valid UTF-8 ({reason})")
     nodes = []
     for line_no, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
@@ -80,11 +79,9 @@ def _load_curve(path: str) -> RadialCurve:
 
 
 def _strategy_from_args(args) -> Strategy:
-    if getattr(args, "curve", None) is not None:
+    if args.curve is not None:
         return _load_curve(args.curve)
-    if getattr(args, "gain", None) is not None:
-        return Gain(args.gain)
-    raise ValueError("provide --gain or --curve")
+    return Gain(args.gain)
 
 
 def _print_rows(rows) -> None:

@@ -8,7 +8,8 @@ measured for it. The on-disk format is a plain CSV file:
     ...
 
 decimal-point reals, UTF-8, LF or CRLF line endings (a bare CR also ends a
-line).
+line). Text input is decoded once, with errors="surrogateescape", so a byte
+that is not UTF-8 reaches the reader, which names its line.
 
 write_dataset's bytes equal those of a per-row writer joining repr(value):
 orjson formats the rows, and repr formats each row holding a value outside
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -60,14 +61,6 @@ class Dataset:
         if not np.all((self.fidelity >= 0.0) & (self.fidelity <= 1.0)):
             raise ValueError("fidelity values must lie in [0, 1]")
 
-    @classmethod
-    def from_records(cls, records: Iterable[DatasetRecord]) -> "Dataset":
-        rows = [(r.beta_re, r.beta_im, r.fidelity) for r in records]
-        if not rows:
-            return cls(np.empty(0), np.empty(0), np.empty(0))
-        re, im, f = zip(*rows)
-        return cls(np.array(re), np.array(im), np.array(f))
-
     def __len__(self) -> int:
         return self.beta_re.size
 
@@ -90,15 +83,6 @@ class Dataset:
         return float(np.max(np.hypot(self.beta_re, self.beta_im)))
 
 
-Records = Union[Dataset, Iterable[DatasetRecord]]
-
-
-def as_dataset(records: Records) -> Dataset:
-    if isinstance(records, Dataset):
-        return records
-    return Dataset.from_records(records)
-
-
 def _parse_field(raw: str, column: str, line_no: int) -> float:
     try:
         value = float(raw)
@@ -113,34 +97,29 @@ def _header(line: str) -> tuple:
     return tuple(part.strip() for part in line.split(","))
 
 
-def undecodable_line(fh) -> Optional[int]:
-    """Line number of the first byte of the open text file fh that is not
-    UTF-8, with lines ending at LF, CRLF or CR; None when fh cannot be read
-    again. The text layer decodes ahead in chunks, so the line is counted in
-    the raw bytes, where no UTF-8 sequence contains a CR or LF byte."""
-    if not fh.seekable():
-        return None
-    fh.buffer.seek(0)
-    line_no = 1
-    for line in fh.buffer:
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = line[:exc.start]
-            return line_no + head.count(b"\r") - head.count(b"\r\n")
-        line_no += 1 + line.count(b"\r") - line.count(b"\r\n")
+def utf8_error(line: str) -> Optional[str]:
+    """The codec's reason why a line read with errors="surrogateescape" is
+    not UTF-8, or None when it is. The escape is lossless, so the line
+    re-encodes to its exact bytes; no UTF-8 sequence holds a CR or LF byte,
+    so a line that keeps its line end gives the reason a strict decode of
+    the whole file gives."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError as exc:
+        return exc.reason
     return None
 
 
 def _read_lines(fh) -> Dataset:
     """Parse an open CSV dataset line by line, naming the first offending
-    line. Lines end where the file object splits them: LF, CRLF or CR."""
-    try:
-        lines = [line.rstrip("\r\n") for line in fh]
-    except UnicodeDecodeError as exc:
-        line_no = undecodable_line(fh)
-        where = f"line {line_no}: " if line_no else ""
-        raise DatasetFormatError(f"{where}not valid UTF-8 ({exc.reason})") from None
+    line. Lines end where the file object splits them: LF, CRLF or CR. A
+    byte that is not UTF-8 is reported before any other defect."""
+    lines = []
+    for line_no, line in enumerate(fh, start=1):
+        reason = utf8_error(line)
+        if reason is not None:
+            raise DatasetFormatError(f"line {line_no}: not valid UTF-8 ({reason})")
+        lines.append(line.rstrip("\r\n"))
     if not lines:
         raise DatasetFormatError("empty file: expected a header line")
     if _header(lines[0]) != CSV_HEADER:
@@ -181,7 +160,7 @@ def _read_bulk(fh) -> Optional[Dataset]:
             # Dataset rejects non-finite amplitudes and fidelities outside
             # [0, 1]; the copy makes each column contiguous.
             return Dataset(*table.T.copy())
-    except ValueError:  # UnicodeDecodeError included
+    except ValueError:  # an escaped non-UTF-8 byte included
         pass
     return None
 
@@ -191,9 +170,10 @@ def load_dataset(path) -> Dataset:
 
     The records are parsed in bulk; a file the bulk parse does not accept is
     read again line by line, which names the offending line. A stream that
-    cannot be read twice, such as a pipe, is read line by line only.
+    cannot be read twice, such as a pipe, is read line by line only. Either
+    way a byte that is not UTF-8 is named by its line.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         if fh.seekable():
             ds = _read_bulk(fh)
             if ds is not None:
@@ -222,15 +202,14 @@ def _format_rows(block: np.ndarray) -> bytes:
     return b"\n".join([next(fixed) if f else next(ordinary) for f in needs_repr.tolist()]) + b"\n"
 
 
-def write_dataset(path, records: Records) -> None:
+def write_dataset(path, records: Dataset) -> None:
     """Write records in the CSV format accepted by load_dataset.
 
     Each float is written as its repr, so a write/load round trip is
     bit-exact. Rows are formatted CHUNK_SIZE at a time by _format_rows.
     """
-    ds = as_dataset(records)
-    columns = (ds.beta_re, ds.beta_im, ds.fidelity)
+    columns = (records.beta_re, records.beta_im, records.fidelity)
     with open(path, "wb") as fh:
         fh.write(",".join(CSV_HEADER).encode() + b"\n")
-        for start in range(0, len(ds), CHUNK_SIZE):
+        for start in range(0, len(records), CHUNK_SIZE):
             fh.write(_format_rows(np.column_stack([c[start:start + CHUNK_SIZE] for c in columns])))

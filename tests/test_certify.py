@@ -120,7 +120,7 @@ class TestLoadDataset:
     def test_bulk_parse_matches_line_reader(self, tmp_path, monkeypatch, text, bulk):
         path = tmp_path / "ds.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
             try:
                 expected = _read_lines(fh)
             except DatasetFormatError as exc:
@@ -140,11 +140,27 @@ class TestLoadDataset:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert a.flags.c_contiguous
 
+    @pytest.mark.parametrize("data,message", [
+        # A bad byte in the header is reported as such, not as a wrong header.
+        pytest.param(b"beta_re,\xff,fidelity\n0,0,0.5\n",
+                     "line 1: not valid UTF-8 (invalid start byte)", id="header"),
+        # A multibyte sequence cut by a line end, then by the end of the file:
+        # each line keeps its line end, so the reasons are a strict decode's.
+        pytest.param(_HEADER.encode() + b"0,0,0.5\xe2\x82\r\n1,1,0.5\n",
+                     "line 2: not valid UTF-8 (invalid continuation byte)", id="cut-at-line-end"),
+        pytest.param(_HEADER.encode() + b"0,0,0.5\n1,1,0.5\xe2\x82",
+                     "line 3: not valid UTF-8 (unexpected end of data)", id="cut-at-eof"),
+    ])
+    def test_non_utf8_message(self, tmp_path, data, message):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(data)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("rows,message", [
         ("0.5,-0.25,0.9\n", None),
         ("0.5,-0.25,0.9\n1,1,1.2\n", "line 3: fidelity 1.2 outside [0, 1]"),
-        # A pipe cannot be read again to find the line of the bad byte.
-        pytest.param("0.5,-0.25,0.9\n1,1,\udcff\n", "not valid UTF-8 (invalid start byte)",
+        pytest.param("0.5,-0.25,0.9\n1,1,\udcff\n", "line 3: not valid UTF-8 (invalid start byte)",
                      id="non-utf8"),
     ])
     def test_pipe_is_read_once(self, rows, message):
@@ -156,7 +172,7 @@ class TestLoadDataset:
         if message is None:
             assert load_dataset(read_fd)[0] == DatasetRecord(0.5, -0.25, 0.9)
         else:
-            with pytest.raises(DatasetFormatError, match=re.escape(message)):
+            with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
                 load_dataset(read_fd)
 
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])

@@ -115,6 +115,14 @@ class TestQuad:
         assert code == 2
         assert f"{path}:3: not valid UTF-8" in err
 
+    def test_non_utf8_curve_comment_names_line(self, capsys, tmp_path):
+        # A comment is text too: its bytes must be UTF-8.
+        path = tmp_path / "curve.txt"
+        path.write_bytes(b"0, 0\n1, 0.45  # gain \xff\n3.0, 0.9\n")
+        code, _, err = run(capsys, "quad", "--prior", "disk:1", "--curve", str(path))
+        assert code == 2
+        assert err == f"error: {path}:2: not valid UTF-8 (invalid start byte)\n"
+
     @pytest.mark.parametrize("command", [("quad", "--gain", "0.5"), ("optimize", "--family", "gain")])
     def test_underflowing_prior_is_input_error(self, capsys, command):
         code, _, err = run(capsys, command[0], "--prior", "truncgauss:1e-200,1e-200", *command[1:])

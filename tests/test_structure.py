@@ -27,13 +27,14 @@ def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _calls(node, func=None):
-    """(innermost enclosing function name, call) for every call under node."""
+def _nodes(node, kind, func=None):
+    """(innermost enclosing function name, node) for every node of the given
+    kind under node."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield func, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
-        yield from _calls(child, inner)
+        yield from _nodes(child, kind, inner)
 
 
 def test_no_module_uses_another_modules_private_names():
@@ -61,10 +62,34 @@ def test_no_module_uses_another_modules_private_names():
 def test_random_streams_are_built_only_by_seeded_stream():
     found = []
     for path in MODULES:
-        for func, call in _calls(_tree(path)):
+        for func, call in _nodes(_tree(path), ast.Call):
             name = getattr(call.func, "attr", getattr(call.func, "id", None))
             if name in ("Philox", "SeedSequence") and (path.stem, func) != ("core", "seeded_stream"):
                 found.append(f"{path.name}:{call.lineno} calls {name} in {func}")
+    assert found == []
+
+
+def test_text_is_decoded_once_with_surrogateescape():
+    # A byte that is not UTF-8 must reach the reader, which names its line
+    # with data.utf8_error; no read may fail inside the codec.
+    found = []
+    for path in MODULES:
+        for func, node in _nodes(_tree(path), (ast.Call, ast.ExceptHandler)):
+            if isinstance(node, ast.ExceptHandler):
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                for name in {getattr(t, "id", None) for t in types} & {"UnicodeDecodeError", "UnicodeError"}:
+                    if (path.stem, func, name) != ("data", "utf8_error", "UnicodeError"):
+                        found.append(f"{path.name}:{node.lineno} catches {name} in {func}")
+                continue
+            if getattr(node.func, "id", None) != "open":
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+            errors = keywords.get("errors")
+            if not (isinstance(errors, ast.Constant) and errors.value == "surrogateescape"):
+                found.append(f"{path.name}:{node.lineno} opens text without errors='surrogateescape'")
     assert found == []
 
 
