@@ -101,7 +101,9 @@ def bootstrap_ci(records: Dataset, lam: float, resamples: int = 1000, seed: int 
     Deterministic for a fixed seed: resample r draws n record indices from
     stream 0 of the seed, and its statistic is computed from how often each
     record was drawn. The interval is widened, if necessary, to contain the
-    point estimate; identical records give a zero-width interval.
+    point estimate; identical records give a zero-width interval. A lam
+    that sets some record's weight below the smallest normal float raises
+    ValueError: a resample's ratio would be rounding noise, or 0 / 0.
     """
     check_count(resamples, "resamples", 100)
     if not (0.0 < level < 1.0):
@@ -110,6 +112,9 @@ def bootstrap_ci(records: Dataset, lam: float, resamples: int = 1000, seed: int 
     point, f, w = _weighted_mean(records, lam, 2, "bootstrap_ci")
     if w is None:
         return point, point
+    if np.min(w) < np.finfo(float).tiny:
+        raise ValueError(f"lam = {lam} leaves the outermost record a weight of "
+                         f"{float(np.min(w))}, below the smallest normal float")
     n = f.size
     wf = w * f
     stats = np.empty(resamples)

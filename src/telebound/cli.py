@@ -23,7 +23,7 @@ from .certify import verdict
 from .core import Gain, GaussianIso, Prior, RadialCurve, Strategy, TruncatedGaussian, UniformDisk
 from .data import DatasetFormatError, load_dataset, utf8_error, write_dataset
 from .optimize import ConvergenceError, optimize_gain, optimize_guess_curve
-from .quadrature import auto_spec, average_fidelity_quad
+from .quadrature import QuadratureSpec, average_fidelity_quad
 from .simulate import Constant, SimulatedGain, generate_dataset, simulate
 
 __all__ = ["main", "build_parser"]
@@ -106,8 +106,8 @@ def _cmd_bound(args) -> int:
 def _cmd_quad(args) -> int:
     prior = _parse_prior(args.prior)
     strategy = _strategy_from_args(args)
-    spec = auto_spec(prior, strategy, truncation_tol=args.tol)
-    result = average_fidelity_quad(prior, strategy, spec)
+    tol = {} if args.tol is None else {"truncation_tol": args.tol}
+    result = average_fidelity_quad(prior, strategy, QuadratureSpec(**tol))
     _print_rows([("value", f"{result.value:.12f}"),
                  ("error_estimate", f"{result.error_estimate:.3e}"),
                  ("outer_cut_radius", f"{result.spec.outer_cut_radius:.6f}"),
@@ -117,14 +117,14 @@ def _cmd_quad(args) -> int:
 
 def _cmd_optimize(args) -> int:
     prior = _parse_prior(args.prior)
+    tol = {} if args.tol is None else {"tol": args.tol}
     if args.family == "gain":
-        report = optimize_gain(prior, tol=args.tol if args.tol is not None else 1e-6)
+        report = optimize_gain(prior, **tol)
         rows = [("family", "gain"),
                 ("best_value", f"{report.best_value:.9f}"),
                 ("optimal_gain", f"{report.best_strategy.g:.9f}")]
     else:
-        report = optimize_guess_curve(prior, n_nodes=args.nodes,
-                                      tol=args.tol if args.tol is not None else 1e-3)
+        report = optimize_guess_curve(prior, n_nodes=args.nodes, **tol)
         rows = [("family", "curve"), ("best_value", f"{report.best_value:.9f}")]
         for r, rho in report.best_strategy.nodes:
             rows.append(("node", f"{r:.6f} {rho:.6f}"))
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--gain", type=float, help="gain strategy")
     group.add_argument("--curve", help="file of 'radius,guess_radius' curve nodes")
-    p.add_argument("--tol", type=float, default=1e-9, help="truncation tolerance")
+    p.add_argument("--tol", type=float, default=None, help="truncation tolerance")
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("optimize", help="best strategy within a family")

@@ -4,7 +4,7 @@ and classical guess strategies.
 Amplitudes are plain Python complex numbers (dimensionless quadrature units).
 The overlap fidelity between two coherent states with amplitudes a and b is
 exp(-|a-b|^2), which is the single convention everything else in this package
-is pinned to.
+is pinned to; fidelity_kernel evaluates it, elementwise, for every caller.
 
 Every input prior is one family, TruncatedGaussian(lam, radius): a Gaussian
 of inverse width lam restricted to the disk |beta| <= radius. The uniform
@@ -13,6 +13,8 @@ and GaussianIso construct those two cases. A prior's `mass` is the share of
 (lam/pi) exp(-lam |beta|^2) inside its disk, written once as
 disk_mass(lam, radius), and tail_mass(lam, radius) the share beyond it; the
 sampler, the quadrature cuts and bounds.truncated_gain_fidelity read these.
+prior.support_radius(tail), the radius holding all but `tail` of the
+prior's own mass, is the one cut that the quadrature and the optimizer read.
 
 seeded_stream(seed, i), a Philox generator on SeedSequence(seed,
 spawn_key=(i,)), is the one random stream: simulation chunk i draws stream i
@@ -73,23 +75,25 @@ def seeded_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
-def _require_finite(value: complex, name: str) -> complex:
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return z
+def _require_finite(value, name: str):
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise ValueError(f"{name} must be finite, got {np.asarray(value)[bad][0].item()!r}")
+    return value
 
 
-def fidelity_kernel(alpha: ComplexAmp, beta: ComplexAmp) -> float:
+def fidelity_kernel(alpha, beta):
     """Overlap fidelity exp(-|alpha - beta|^2) between two coherent states.
 
-    Symmetric in its arguments, 1 exactly when they coincide, and strictly
-    positive for any finite pair.
+    Elementwise over broadcastable amplitudes: scalars give a float, arrays
+    an array. Symmetric in its arguments, 1 exactly when they coincide, and
+    strictly positive for any finite pair.
     """
-    a = _require_finite(alpha, "alpha")
-    b = _require_finite(beta, "beta")
-    d = a - b
-    return math.exp(-(d.real * d.real + d.imag * d.imag))
+    a, b = _require_finite(alpha, "alpha"), _require_finite(beta, "beta")
+    # Amplitudes too far apart overflow the distance; exp(-inf) = 0 is exact.
+    with np.errstate(over="ignore"):
+        f = np.exp(-np.abs(np.subtract(a, b)) ** 2)
+    return float(f) if f.ndim == 0 else f
 
 
 def disk_mass(lam: float, radius: float) -> float:
@@ -136,25 +140,23 @@ class TruncatedGaussian:
         return disk_mass(self.lam, self.radius)
 
     def density(self, beta: ComplexAmp) -> float:
-        b = _require_finite(beta, "beta")
-        if abs(b) > self.radius:
-            return 0.0
-        if self.lam == 0.0:
-            return 1.0 / (math.pi * self.radius**2)
-        return (self.lam / math.pi) * math.exp(-self.lam * abs(b) ** 2) / self.mass
+        """Density at the amplitude `beta`: radial_density(|beta|)."""
+        return float(self.radial_density(abs(_require_finite(beta, "beta"))))
 
     def radial_density(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if self.lam == 0.0:
-            return np.where(r <= self.radius, 1.0 / (np.pi * self.radius**2), 0.0)
-        inside = (self.lam / np.pi) * np.exp(-self.lam * r * r) / self.mass
+        # A radius too large overflows lam r^2; exp(-inf) = 0 is exact.
+        with np.errstate(over="ignore"):
+            inside = (1.0 / (np.pi * self.radius**2) if self.lam == 0.0
+                      else (self.lam / np.pi) * np.exp(-self.lam * r * r) / self.mass)
         return np.where(r <= self.radius, inside, 0.0)
 
     def support_radius(self, tail: float) -> float:
-        """Radius of the disk holding all but `tail` of the probability mass."""
-        if self.radius != math.inf:
+        """Radius of the disk holding all but `tail` of the probability mass:
+        the mass beyond b is exp(-lam b^2) / mass, and the disk caps b."""
+        if self.lam == 0.0:
             return self.radius
-        return math.sqrt(math.log(1.0 / tail) / self.lam)
+        return min(self.radius, math.sqrt((math.log(1.0 / tail) - math.log(self.mass)) / self.lam))
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def apply_strategy(strategy: Strategy, alpha):
     scalar alpha gives a complex; an array gives an array of its shape.
     """
     scalar = np.ndim(alpha) == 0
-    a = _require_finite(alpha, "alpha") if scalar else np.asarray(alpha)
+    a = complex(_require_finite(alpha, "alpha")) if scalar else np.asarray(alpha)
     if isinstance(strategy, Gain):
         out = strategy.g * a
     else:

@@ -28,12 +28,12 @@ The outer (alpha) integral is cut at
 
     outer_cut_radius = b_max + sqrt(ln(2/tol)) + 2
 
-where b_max is the beta support radius; beyond the cut the integrand is
-bounded by exp(-(a - b_max)^2), giving a certified tail below tol. For
-Gaussian priors the beta integral is cut at the radius whose tail mass is
-below tol as well, or at the disk radius when that is smaller. Both
-contributions enter the reported error estimate, together with the
-difference between the requested resolution and a doubled-resolution pass.
+where b_max = prior.support_radius(tol / 2); support_radius is the one cut
+that the quadrature and the optimizer read. Beyond the alpha cut the integrand is
+bounded by exp(-(a - b_max)^2), giving a certified tail below tol, and the
+prior mass beyond b_max is below tol as well. Both contributions enter the
+reported error estimate, together with the difference between the requested
+resolution and a doubled-resolution pass.
 """
 
 from __future__ import annotations
@@ -265,9 +265,9 @@ def _kernel_sums(a: np.ndarray, rho: np.ndarray, b: np.ndarray,
 
 
 def _evaluate(radial_weight, b_lo, b_hi, strategy, spec, beta_tail) -> QuadResult:
-    coarse, fine = (BetaRule(radial_weight, b_lo, b_hi, spec, mult).average(strategy)
-                    for mult in (1, 2))
-    a_hi = _alpha_cut(spec, b_hi)
+    rules = [BetaRule(radial_weight, b_lo, b_hi, spec, mult) for mult in (1, 2)]
+    coarse, fine = (rule.average(strategy) for rule in rules)
+    a_hi = rules[1].a_hi
     alpha_tail = math.exp(-((a_hi - b_hi) ** 2)) if a_hi > b_hi else 1.0
     # The final term floors the estimate at the summation rounding level.
     err = abs(fine - coarse) + beta_tail + alpha_tail + 8.0 * np.finfo(float).eps * abs(fine)
@@ -275,24 +275,14 @@ def _evaluate(radial_weight, b_lo, b_hi, strategy, spec, beta_tail) -> QuadResul
 
 
 def _beta_support(prior: Prior, spec: QuadratureSpec):
-    """Upper beta cut for `prior` and the prior mass beyond it; a Gaussian
-    prior is cut where its tail is half the truncation budget, or at its disk
-    radius when that comes first. Cutting a narrow truncated Gaussian inside
-    its disk keeps the radial panels on its peak."""
-    b_hi = prior.support_radius(spec.truncation_tol / 2.0)
-    if prior.radius != math.inf:
-        if prior.lam > 0.0:
-            # The truncated density is the Gaussian one divided by the disk
-            # mass, so its tail beyond b is exp(-lam b^2) / mass.
-            b_cut = math.sqrt((math.log(2.0 / spec.truncation_tol) - math.log(prior.mass)) / prior.lam)
-            if b_cut < b_hi:
-                return b_cut, tail_mass(prior.lam, b_cut) / prior.mass
-        return b_hi, 0.0
-    if prior.lam < GAUSSIAN_LAMBDA_FLOOR:
+    """Upper beta cut for `prior`, its support radius at half the truncation
+    budget, and the prior mass beyond it."""
+    if prior.radius == math.inf and prior.lam < GAUSSIAN_LAMBDA_FLOOR:
         raise ValueError(
             f"whole-plane Gaussian integrals need lam >= {GAUSSIAN_LAMBDA_FLOOR} "
             f"(the alpha integrand flattens as lam -> 0), got {prior.lam}")
-    return b_hi, tail_mass(prior.lam, b_hi)
+    b_hi = prior.support_radius(spec.truncation_tol / 2.0)
+    return b_hi, tail_mass(prior.lam, b_hi) / prior.mass if b_hi < prior.radius else 0.0
 
 
 def average_fidelity_quad(prior: Prior, strategy: Strategy,

@@ -28,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (Gain, Prior, Strategy, UniformDisk, apply_strategy, check_count,
-                   check_positive, seeded_stream)
+                   check_positive, fidelity_kernel, seeded_stream)
 from .data import Dataset
 
 __all__ = [
@@ -91,7 +91,7 @@ def _round(prior: Prior, strategy: Strategy, rng: np.random.Generator, count: in
     returns the inputs beta and their fidelities."""
     beta = sample_prior(prior, rng, count)
     guess = apply_strategy(strategy, sample_heterodyne(beta, rng))
-    return beta, np.exp(-np.abs(guess - beta) ** 2)
+    return beta, fidelity_kernel(guess, beta)
 
 
 def _map_chunks(fn, n: int, workers: int):

@@ -370,6 +370,16 @@ class TestBootstrapCI:
         with pytest.raises(ValueError):
             bootstrap_ci(ds, 1.0, level=1.0)
 
+    @pytest.mark.parametrize("lam,weight", [(1e4, "0.0"), (744.4400719213812, "5e-324")])
+    def test_underflowing_weight_rejected(self, lam, weight):
+        # A resample drawing only the outer record would divide 0 by 0 (lam
+        # 1e4), or divide subnormals into a statistic below both fidelities.
+        ds = Dataset([0.0, 1.0], [0.0, 0.0], [0.9, 0.1])
+        with pytest.raises(ValueError, match=rf"^lam = {lam} leaves the outermost record "
+                                             rf"a weight of {weight}, below"):
+            bootstrap_ci(ds, lam, resamples=100)
+        assert weighted_fidelity(ds, lam) == 0.9
+
     def test_coverage_of_known_value(self):
         # 95% percentile intervals over 200 synthetic classical datasets
         # should cover the closed-form reweighted value about 190 times
@@ -433,6 +443,11 @@ class TestVerdict:
         classical_reach = truncated_gain_closed(lam, 2.0, 0.686578)
         assert classical_reach > report.classical_bound + 0.01
         assert report.verdict == NONCLASSICAL  # the false positive itself
+
+    def test_underflowing_weight_rejected(self):
+        ds = Dataset([0.0, 1.0], [0.0, 0.0], [0.9, 0.1])
+        with pytest.raises(ValueError, match="^lam = 744.44.* below the smallest normal float$"):
+            verdict(ds, epsilon=5e-324, radius=1.0, resamples=100)
 
     def test_radius_override_must_cover_data(self):
         ds = generate_dataset(3.0, 1_000, Constant(0.58), seed=21)

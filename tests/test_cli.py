@@ -146,6 +146,12 @@ class TestOptimize:
         assert float(vals["best_value"]) >= 0.7415
         assert "node" in out
 
+    @pytest.mark.parametrize("prior", ["gaussian:1e14", "truncgauss:1e14,1"])
+    def test_degenerate_support_is_input_error(self, capsys, prior):
+        code, out, err = run(capsys, "optimize", "--prior", prior, "--family", "curve")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: prior support is degenerate")
+
     def test_unreachable_tolerance_is_numerical_failure(self, capsys):
         code, _, err = run(capsys, "optimize", "--prior", "disk:1", "--family", "curve",
                            "--nodes", "6", "--tol", "1e-15")
@@ -232,6 +238,14 @@ class TestGenerateAnalyze:
         code, _, err = run(capsys, "analyze", str(path), "--radius", "1e-200")
         assert code == 2
         assert "radius 1e-200" in err
+
+    def test_underflowing_weight_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("beta_re,beta_im,fidelity\n0,0,0.9\n1,0,0.1\n")
+        code, out, err = run(capsys, "analyze", str(path), "--epsilon", "5e-324",
+                             "--radius", "1", "--bootstrap", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: lam = 744.44") and "weight of 5e-324" in err
 
     def test_non_utf8_csv_names_line(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

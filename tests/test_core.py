@@ -52,6 +52,29 @@ class TestFidelityKernel:
         with pytest.raises(ValueError):
             fidelity_kernel(bad, 0j)
 
+    def test_arrays_equal_elementwise_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(5, 10, 2)) @ np.array([1.0, 1j])
+        b = rng.normal(size=(5, 10, 2)) @ np.array([2.0, 2j])
+        f = fidelity_kernel(a, b)
+        assert f.shape == (5, 10) and type(fidelity_kernel(a[0, 0], b[0, 0])) is float
+        assert np.array_equal(f, [[fidelity_kernel(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        assert np.array_equal(fidelity_kernel(a, 0j), [[fidelity_kernel(x, 0j) for x in ra] for ra in a])
+
+    @pytest.mark.parametrize("alpha_bad", [True, False])
+    def test_rejects_one_non_finite_element(self, alpha_bad):
+        good = np.linspace(0.0, 2.0, 7) + 0.5j
+        bad = good.copy()
+        bad[4] = complex(1.0, math.inf)
+        args = (bad, good) if alpha_bad else (good, bad)
+        name = "alpha" if alpha_bad else "beta"
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got \(1\+infj\)$"):
+            fidelity_kernel(*args)
+
+    def test_far_apart_amplitudes_give_zero(self):
+        assert fidelity_kernel(1e308, -1e308) == 0.0
+        assert np.array_equal(fidelity_kernel(np.array([1e308, 0.0]), -1e308), [0.0, 0.0])
+
 
 class TestPriorDensity:
     def test_gaussian_at_origin(self):
@@ -74,6 +97,16 @@ class TestPriorDensity:
         mass, _ = integrate.quad(lambda r: 2 * np.pi * r * float(prior.radial_density(np.array([r]))[0]),
                                  0.0, hi, epsabs=1e-12, epsrel=1e-12, limit=300)
         assert mass == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("prior", [GaussianIso(0.7), UniformDisk(2.0), TruncatedGaussian(0.7, 2.0),
+                                       TruncatedGaussian(1e3, 1.0), TruncatedGaussian(0.0, 2.0)])
+    def test_is_radial_density_of_modulus(self, prior):
+        # Inside the disk, on its rim, just outside it and far outside it.
+        rim = min(prior.radius, 3.0)
+        for beta in (0j, 0.3 - 0.4j, rim * np.exp(0.7j), rim + 1e-12, 1j * (rim + 1.0), 1e200 + 0j):
+            expected = float(prior.radial_density(abs(beta)))
+            assert prior_density(prior, beta) == expected
+        assert prior_density(prior, 1e200) == 0.0
 
     def test_truncated_tends_to_uniform_disk(self):
         tg = TruncatedGaussian(1e-8, 3.0)
@@ -165,6 +198,28 @@ class TestTailMass:
             tail_mass(0.0, 1.0)
         with pytest.raises(ValueError):
             tail_mass(1.0, 0.0)
+
+
+class TestSupportRadius:
+    @pytest.mark.parametrize("tail", [1e-4, 5e-10, 1e-14])
+    def test_narrow_truncated_equals_gaussian(self, tail):
+        # Disk mass exactly 1.0: the disk never binds and the cut is the
+        # whole-plane one, bit for bit.
+        narrow = TruncatedGaussian(1e3, 1.0)
+        assert narrow.mass == 1.0
+        assert narrow.support_radius(tail) == GaussianIso(1e3).support_radius(tail)
+
+    @pytest.mark.parametrize("prior", [TruncatedGaussian(20.0, 3.0), TruncatedGaussian(2.0, 2.0),
+                                       TruncatedGaussian(0.1, 1.0), UniformDisk(2.0), GaussianIso(0.5)])
+    @pytest.mark.parametrize("tail", [1e-4, 5e-10])
+    def test_leaves_tail_of_own_mass(self, prior, tail):
+        b = prior.support_radius(tail)
+        assert b <= prior.radius
+        if b < prior.radius:
+            assert tail_mass(prior.lam, b) / prior.mass == pytest.approx(tail, rel=1e-9)
+        else:
+            # The disk binds: the Gaussian cut would lie beyond it.
+            assert prior.lam == 0.0 or tail_mass(prior.lam, b) / prior.mass >= tail
 
 
 class TestApplyStrategy:

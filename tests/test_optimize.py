@@ -123,6 +123,14 @@ class TestOptimizeGuessCurve:
         assert report.best_value >= 1.0 - 1e-3
         assert all(rho <= 1e-2 for _, rho in report.best_strategy.nodes)
 
+    def test_narrow_truncated_prior_places_nodes_as_gaussian(self):
+        # TruncatedGaussian(1e3, 1) has disk mass exactly 1.0, so its support
+        # radius, and with it every curve node, is the whole-plane prior's.
+        narrow = optimize_guess_curve(TruncatedGaussian(1e3, 1.0))
+        whole = optimize_guess_curve(GaussianIso(1e3))
+        assert [r for r, _ in narrow.best_strategy.nodes] == [r for r, _ in whole.best_strategy.nodes]
+        assert narrow.best_value == pytest.approx(whole.best_value, abs=1e-12)
+
     def test_curve_never_below_gain_family(self):
         for prior in (UniformDisk(2.0), TruncatedGaussian(1.0, 3.0)):
             gain_value = optimize_gain(prior).best_value
@@ -136,8 +144,9 @@ class TestOptimizeGuessCurve:
         for bad in (0, 1.5):
             with pytest.raises(ValueError, match="max_sweeps"):
                 optimize_guess_curve(UniformDisk(1.0), max_sweeps=bad)
-        with pytest.raises(ValueError):
-            optimize_guess_curve(UniformDisk(1e-7))
+        for degenerate in (UniformDisk(1e-7), GaussianIso(1e14), TruncatedGaussian(1e14, 1.0)):
+            with pytest.raises(ValueError, match="prior support is degenerate"):
+                optimize_guess_curve(degenerate)
         with pytest.raises(ValueError):
             optimize_guess_curve(UniformDisk(1.0), tol=-1.0)
 
