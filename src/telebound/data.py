@@ -11,6 +11,20 @@ decimal-point reals, UTF-8, LF or CRLF line endings (a bare CR also ends a
 line). Text input is decoded once, with errors="surrogateescape", so a byte
 that is not UTF-8 reaches the reader, which names its line.
 
+load_dataset reads a seekable file in up to three tiers, and each gives
+the result of the line reader:
+
+  1. blocks of whole lines, each parsed with one orjson call into
+     preallocated columns. A file takes this path only when its header is
+     the exact line above (after an optional BOM), every record line is
+     three JSON numbers padded with spaces or tabs, every line end is LF or
+     CRLF, no value is an integer 0 (JSON reads -0 as 0, float() as -0.0),
+     and Dataset accepts the values;
+  2. np.loadtxt, for a file the first tier leaves: it also reads +1, .5, 5.,
+     blank lines, a bare CR and Unicode padding;
+  3. the line reader, for a file neither accepts; it names the offending
+     line. A pipe cannot be read twice, so it is read by this tier only.
+
 write_dataset's bytes equal those of a per-row writer joining repr(value):
 orjson formats the rows, and repr formats each row holding a value outside
 1e-4 <= |x| < 1e16 (other than 0).
@@ -18,8 +32,10 @@ orjson formats the rows, and repr formats each row holding a value outside
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -32,6 +48,19 @@ CSV_HEADER = ("beta_re", "beta_im", "fidelity")
 # write_dataset formats and writes this many rows at a time, so its memory
 # stays flat in the number of records.
 CHUNK_SIZE = 65_536
+
+# load_dataset's fast path parses the file this many bytes at a time. A
+# block's copies and its list of floats take about six times its size while
+# it is parsed, so small blocks keep that a small share of the columns'
+# memory; blocks of 1 MiB were no faster.
+BLOCK_SIZE = 1 << 16
+
+_HEADER_LINES = tuple(",".join(CSV_HEADER).encode() + end for end in (b"\n", b"\r\n"))
+
+# The bytes a field may hold on the fast path: a JSON number and its
+# padding. JSON alone would also accept true, false, null, strings and
+# brackets, which float() does not.
+_FIELD_BYTES = b"0123456789.eE+- \t"
 
 
 class DatasetFormatError(ValueError):
@@ -165,17 +194,110 @@ def _read_bulk(fh) -> Optional[Dataset]:
     return None
 
 
+def _parse_block(block: bytes, table: np.ndarray, row: int) -> Optional[int]:
+    """Parse whole CSV lines of three JSON numbers each into table[:, row:]
+    with one orjson call; return the line count, or None when a line is not
+    three numbers that float() reads to the same double."""
+    import orjson  # here, not at module level: `import telebound` stays lean
+
+    block = block.replace(b"\r\n", b"\n")
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    # Without its field bytes, each line must be exactly ",,\n". Any other
+    # byte is left over and fails the comparison: a bare CR, which ends a
+    # line in text mode but is space to JSON, and any non-ASCII byte.
+    separators = block.translate(None, _FIELD_BYTES)
+    lines = len(separators) // 3
+    if separators != b",,\n" * lines or row + lines > table.shape[1]:
+        return None
+    try:
+        values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:  # an infinite value included
+        return None
+    if len(values) != 3 * lines:
+        return None
+    parsed = np.fromiter(values, float, len(values))
+    # JSON's -0 is the integer 0, where float("-0") is -0.0.
+    if any(type(values[i]) is int for i in np.flatnonzero(parsed == 0.0).tolist()):
+        return None
+    table[:, row:row + lines] = parsed.reshape(lines, 3).T
+    return lines
+
+
+def _pieces(raw, size: int) -> Iterator[bytes]:
+    """The next `size` bytes of raw, BLOCK_SIZE bytes at a time."""
+    while size > 0:
+        data = raw.read(min(BLOCK_SIZE, size))
+        if not data:
+            return
+        size -= len(data)
+        yield data
+
+
+def _blocks(raw, size: int) -> Iterator[bytes]:
+    """The next `size` bytes of raw, in blocks of about BLOCK_SIZE bytes cut
+    after a line end (the last block ends where the bytes do)."""
+    carry = b""
+    for data in _pieces(raw, size):
+        data = carry + data
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        carry = data[cut:]
+    if carry:
+        yield carry
+
+
+def _read_fast(raw) -> Optional[Dataset]:
+    """Parse a seekable binary CSV dataset a block at a time into one
+    preallocated (3, rows) table, or return None when the header or any
+    block is not what _parse_block accepts. A first pass counts the line
+    ends, unless the body fits in one block."""
+    head = raw.readline()
+    if head.startswith(codecs.BOM_UTF8):
+        head = head[len(codecs.BOM_UTF8):]
+    if head not in _HEADER_LINES:
+        return None
+    start = raw.tell()
+    size = raw.seek(0, os.SEEK_END) - start
+    raw.seek(start)
+    if size <= BLOCK_SIZE:
+        blocks = [raw.read(size)]
+        line_ends = blocks[0].count(b"\n")
+    else:
+        line_ends = sum(data.count(b"\n") for data in _pieces(raw, size))
+        raw.seek(start)
+        blocks = _blocks(raw, size)
+    # One more column for a last line with no line end; each row of the
+    # table stays contiguous when the unused column is cut off.
+    table = np.empty((3, line_ends + 1))
+    row = 0
+    for block in blocks:
+        lines = _parse_block(block, table, row)
+        if lines is None:
+            return None
+        row += lines
+    try:
+        return Dataset(*table[:, :row])  # finite amplitudes, fidelities in [0, 1]
+    except ValueError:
+        return None
+
+
 def load_dataset(path) -> Dataset:
     """Parse a CSV dataset, reporting the offending line on any defect.
 
-    The records are parsed in bulk; a file the bulk parse does not accept is
-    read again line by line, which names the offending line. A stream that
-    cannot be read twice, such as a pipe, is read line by line only. Either
-    way a byte that is not UTF-8 is named by its line.
+    A seekable file is parsed in bulk, by orjson or else by np.loadtxt (see
+    the module docstring); a file neither accepts is read again line by
+    line, which names the offending line. A stream that cannot be read
+    twice, such as a pipe, is read line by line only. Either way a byte that
+    is not UTF-8 is named by its line.
     """
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         if fh.seekable():
-            ds = _read_bulk(fh)
+            ds = _read_fast(fh.buffer)
+            if ds is None:
+                fh.seek(0)
+                ds = _read_bulk(fh)
             if ds is not None:
                 return ds
             fh.seek(0)

@@ -13,8 +13,9 @@ Determinism
 -----------
 Samples are drawn in fixed-size chunks. Chunk i draws from
 core.seeded_stream(seed, i), a Philox generator seeded with
-SeedSequence(seed, spawn_key=(i,)), and chunk results are combined in index
-order, so a run is bit-identical for fixed (seed, n, prior, strategy)
+SeedSequence(seed, spawn_key=(i,)). simulate sums the chunk results in
+index order, and generate_dataset has each chunk write its own slice of
+the output, so a run is bit-identical for fixed (seed, n, prior, strategy)
 regardless of the worker count.
 """
 
@@ -163,14 +164,18 @@ def generate_dataset(radius: float, n: int, model: FidelityModel, seed: int,
     if not isinstance(model, (Constant, SimulatedGain)):
         raise TypeError(f"unsupported fidelity model: {model!r}")
     prior = UniformDisk(radius)
+    beta = np.empty(n, dtype=complex)
+    fid = np.empty(n)
 
     def run_chunk(index: int, count: int):
+        # Chunks write disjoint slices, so workers share the arrays safely.
+        rows = slice(index * CHUNK_SIZE, index * CHUNK_SIZE + count)
         rng = seeded_stream(seed, index)
         if isinstance(model, Constant):
-            return sample_prior(prior, rng, count), np.full(count, model.value)
-        return _round(prior, Gain(model.g), rng, count)
+            beta[rows] = sample_prior(prior, rng, count)
+            fid[rows] = model.value
+        else:
+            beta[rows], fid[rows] = _round(prior, Gain(model.g), rng, count)
 
-    parts = _map_chunks(run_chunk, n, workers)
-    beta = np.concatenate([p[0] for p in parts])
-    fid = np.concatenate([p[1] for p in parts])
+    _map_chunks(run_chunk, n, workers)
     return Dataset(beta.real, beta.imag, fid)

@@ -1,9 +1,12 @@
+import decimal
 import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 
 from telebound import (
@@ -80,44 +83,60 @@ class TestLoadDataset:
         assert len(ds) == 2
         assert ds.radius == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("text,bulk", [
-        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8\n", True, id="lf"),
-        pytest.param(_HEADER.replace("\n", "\r\n") + "0.5,-0.25,0.9\r\n1,0,0.8\r\n", True, id="crlf"),
-        pytest.param(_HEADER.replace("\n", "\r") + "0.5,-0.25,0.9\r1,0,0.8\r", True, id="bare-cr"),
-        pytest.param(_HEADER + "\n0.5,-0.25,0.9\n\n\n1,0,0.8\n\n", True, id="blank-lines"),
-        pytest.param(_HEADER + "  \n0.5,-0.25,0.9\n \t \n1,0,0.8\n", False, id="whitespace-lines"),
-        pytest.param(_HEADER + " 0.5 ,  -0.25,0.9  \n", True, id="padded-fields"),
-        pytest.param(_HEADER + "\t0.5,-0.25\t,\t0.9\n", True, id="tab"),
-        pytest.param(_HEADER + "+1,+0.5,+0.25\n", True, id="plus-sign"),
-        pytest.param(_HEADER + ".5,5.,0.5\n", True, id="bare-point"),
-        pytest.param(_HEADER + "1_0,0,0.5\n", False, id="underscore"),
-        pytest.param(_HEADER + "0,0,0.5\nnan,0,0.5\n", False, id="nan-amplitude"),
-        pytest.param(_HEADER + "0,0,nan\n", False, id="nan-fidelity"),
-        pytest.param(_HEADER + "0,inf,0.5\n", False, id="inf"),
-        pytest.param(_HEADER + "0,0,Infinity\n", False, id="Infinity"),
-        pytest.param(_HEADER + "1e,0,0.5\n", False, id="bare-exponent"),
-        pytest.param(_HEADER + "1d0,0,0.5\n", False, id="fortran-exponent"),
-        pytest.param(_HEADER + "0x1p-1,0,0.5\n", False, id="hex-float"),
-        pytest.param(_HEADER + '"1",0,0.5\n', False, id="quoted-field"),
-        pytest.param(_HEADER + "# comment\n0,0,0.5\n", False, id="comment"),
-        pytest.param(_HEADER + "0,0,0.5,\n", False, id="trailing-comma"),
-        pytest.param(_HEADER + "0,,0.5\n", False, id="empty-field"),
-        pytest.param(_HEADER + "0,0\n", False, id="two-fields"),
-        pytest.param(_HEADER + "0,0,0.5,0.5\n1,1,0.5,0.5\n", False, id="four-fields"),
-        pytest.param(_HEADER + "0,0,0.5\n1,1,1.2\n", False, id="fidelity-above-one"),
-        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8", True, id="no-final-newline"),
-        pytest.param("\ufeff" + _HEADER + "0.5,-0.25,0.9\n", True, id="utf8-bom"),
-        pytest.param(_HEADER + "0,0,-0.0\n", True, id="negative-zero-fidelity"),
-        pytest.param(_HEADER + "1,2\x0c,0.5\n3\x85,4,0.5\n", True, id="form-feed-and-nel"),
-        pytest.param(_HEADER + "\uff11,0,0.5\n", False, id="fullwidth-digit"),
-        pytest.param("x,y,f\n0,0,1\n", False, id="wrong-header"),
-        pytest.param(_HEADER + "\n \n", False, id="header-then-blank"),
-        pytest.param("", False, id="empty-file"),
+    @pytest.mark.parametrize("text,bulk,fast", [
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8\n", True, False, id="lf"),
+        pytest.param(_HEADER.replace("\n", "\r\n") + "0.5,-0.25,0.9\r\n1,0,0.8\r\n", True, False, id="crlf"),
+        pytest.param(_HEADER.replace("\n", "\r") + "0.5,-0.25,0.9\r1,0,0.8\r", True, False, id="bare-cr"),
+        pytest.param(_HEADER + "\n0.5,-0.25,0.9\n\n\n1,0,0.8\n\n", True, False, id="blank-lines"),
+        pytest.param(_HEADER + "  \n0.5,-0.25,0.9\n \t \n1,0,0.8\n", False, False, id="whitespace-lines"),
+        pytest.param(_HEADER + " 0.5 ,  -0.25,0.9  \n", True, True, id="padded-fields"),
+        pytest.param(_HEADER + "\t0.5,-0.25\t,\t0.9\n", True, True, id="tab"),
+        pytest.param(_HEADER + "+1,+0.5,+0.25\n", True, False, id="plus-sign"),
+        pytest.param(_HEADER + ".5,5.,0.5\n", True, False, id="bare-point"),
+        pytest.param(_HEADER + "1_0,0,0.5\n", False, False, id="underscore"),
+        pytest.param(_HEADER + "0,0,0.5\nnan,0,0.5\n", False, False, id="nan-amplitude"),
+        pytest.param(_HEADER + "0,0,nan\n", False, False, id="nan-fidelity"),
+        pytest.param(_HEADER + "0,inf,0.5\n", False, False, id="inf"),
+        pytest.param(_HEADER + "0,0,Infinity\n", False, False, id="Infinity"),
+        pytest.param(_HEADER + "1e,0,0.5\n", False, False, id="bare-exponent"),
+        pytest.param(_HEADER + "1d0,0,0.5\n", False, False, id="fortran-exponent"),
+        pytest.param(_HEADER + "0x1p-1,0,0.5\n", False, False, id="hex-float"),
+        pytest.param(_HEADER + '"1",0,0.5\n', False, False, id="quoted-field"),
+        pytest.param(_HEADER + "# comment\n0,0,0.5\n", False, False, id="comment"),
+        pytest.param(_HEADER + "0,0,0.5,\n", False, False, id="trailing-comma"),
+        pytest.param(_HEADER + "0,,0.5\n", False, False, id="empty-field"),
+        pytest.param(_HEADER + "0,0\n", False, False, id="two-fields"),
+        pytest.param(_HEADER + "0,0,0.5,0.5\n1,1,0.5,0.5\n", False, False, id="four-fields"),
+        pytest.param(_HEADER + "0,0,0.5\n1,1,1.2\n", False, False, id="fidelity-above-one"),
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8", True, False, id="no-final-newline"),
+        pytest.param("\ufeff" + _HEADER + "0.5,-0.25,0.9\n", True, True, id="utf8-bom"),
+        pytest.param(_HEADER + "0,0,-0.0\n", True, False, id="negative-zero-fidelity"),
+        pytest.param(_HEADER + "1,2\x0c,0.5\n3\x85,4,0.5\n", True, False, id="form-feed-and-nel"),
+        pytest.param(_HEADER + "\uff11,0,0.5\n", False, False, id="fullwidth-digit"),
+        pytest.param("x,y,f\n0,0,1\n", False, False, id="wrong-header"),
+        pytest.param(_HEADER + "\n \n", False, False, id="header-then-blank"),
+        pytest.param("", False, False, id="empty-file"),
         # A bytes input is written as is: here the 0xff sits on line 3, past
         # CR and CRLF line ends.
-        pytest.param(_HEADER.encode() + b"0,0,0.5\r\n1,1,0.5\r0.\xff5,0,0.5\n", False, id="non-utf8"),
+        pytest.param(_HEADER.encode() + b"0,0,0.5\r\n1,1,0.5\r0.\xff5,0,0.5\n", False, False, id="non-utf8"),
+        # The orjson fast path: JSON values that float() does not read, JSON
+        # numbers that it reads differently, and a CR that JSON takes as space.
+        pytest.param(_HEADER + "true,0.5,0.5\n", False, False, id="json-true"),
+        pytest.param(_HEADER + "0.5,null,0.5\n", False, False, id="json-null"),
+        pytest.param(_HEADER + "-0,0.5,0.5\n", True, False, id="integer-negative-zero"),
+        pytest.param(_HEADER + "1e400,0,0.5\n", False, False, id="1e400"),
+        pytest.param(_HEADER + "1234567890123456789012345,0.5,0.5\n", True, False, id="25-digit-integer"),
+        pytest.param(_HEADER + "0.5,0.5,\r0.5\n", False, False, id="cr-inside-line"),
+        pytest.param(_HEADER + "[1],0,0.5\n", False, False, id="json-array"),
+        pytest.param(_HEADER + "0.5,0.5,0.5,0.5\n0.5,0.5\n", False, False, id="fields-across-lines"),
+        # The writer writes no integer token; files that hold one only as a
+        # nonzero value keep the fast path, and an integer 0 leaves it.
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1.0,0.0,0.8\n", True, True, id="lf-float"),
+        pytest.param(_HEADER.replace("\n", "\r\n") + "0.5,-0.25,0.9\r\n1.0,0.0,0.8\r\n", True, True,
+                     id="crlf-float"),
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1.0,0.0,0.8", True, True, id="no-final-newline-float"),
     ])
-    def test_bulk_parse_matches_line_reader(self, tmp_path, monkeypatch, text, bulk):
+    def test_bulk_parse_matches_line_reader(self, tmp_path, monkeypatch, text, bulk, fast):
         path = tmp_path / "ds.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
@@ -128,6 +147,9 @@ class TestLoadDataset:
         if bulk:
             # These files must not need the per-line reader at all.
             monkeypatch.setattr("telebound.data._read_lines", None)
+        if fast:
+            # Nor these the loadtxt parse.
+            monkeypatch.setattr("telebound.data._read_bulk", None)
         try:
             got = load_dataset(path)
         except DatasetFormatError as exc:
@@ -189,6 +211,99 @@ class TestLoadDataset:
         assert np.array_equal(back.beta_im, ds.beta_im)
         assert np.array_equal(back.fidelity, ds.fidelity)
 
+    @staticmethod
+    def _write_special(tmp_path):
+        """1,000 written rows of about 55 bytes; the values whose notation
+        departs from the common one sit at the start, middle and end."""
+        rng = np.random.default_rng(5)
+        n = 1_000
+        re_, im, fid = rng.normal(size=n), rng.normal(size=n), rng.random(n)
+        for at in (0, n // 2, n - 4):
+            re_[at:at + 4] = [1e-05, 5e-324, 1e16, -0.0]
+            im[at:at + 4] = [-0.0, 1e16, 5e-324, 1e-05]
+            fid[at:at + 4] = [5e-324, -0.0, 1e-05, 1.0]
+        path = tmp_path / "special.csv"
+        write_dataset(path, Dataset(re_, im, fid))
+        return Dataset(re_, im, fid), path
+
+    @pytest.mark.parametrize("block_size", [40, 97])
+    def test_fast_path_across_blocks(self, tmp_path, monkeypatch, block_size):
+        # Blocks shorter than a row, and of one or two rows: every read ends
+        # inside a row, which the next block must complete.
+        ds, path = self._write_special(tmp_path)
+        cut = tmp_path / "no-final-newline.csv"
+        cut.write_bytes(path.read_bytes()[:-1])
+        monkeypatch.setattr("telebound.data.BLOCK_SIZE", block_size)
+        monkeypatch.setattr("telebound.data._read_bulk", None)
+        monkeypatch.setattr("telebound.data._read_lines", None)
+        for p in (path, cut):
+            back = load_dataset(p)
+            for column in ("beta_re", "beta_im", "fidelity"):
+                a, b = getattr(back, column), getattr(ds, column)
+                assert a.tobytes() == b.tobytes() and a.flags.c_contiguous
+
+    @pytest.mark.parametrize("row,bad,message", [
+        pytest.param(500, "1.5", "line 502: fidelity 1.5 outside [0, 1]", id="middle-block"),
+        pytest.param(999, "true", "line 1001: fidelity is not a number: 'true'", id="last-block"),
+    ])
+    def test_fast_path_defect_names_line(self, tmp_path, monkeypatch, row, bad, message):
+        _, path = self._write_special(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        lines[row + 1] = lines[row + 1].rsplit(b",", 1)[0] + b"," + bad.encode()
+        path.write_bytes(b"\n".join(lines))
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+            with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+                _read_lines(fh)
+        monkeypatch.setattr("telebound.data.BLOCK_SIZE", 97)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            load_dataset(path)
+
+    def test_load_peak_memory(self, tmp_path):
+        # The columns are filled in place, a block at a time; loadtxt's table
+        # and its transposed copy took about 2.1x the columns.
+        rng = np.random.default_rng(6)
+        n = 4 * CHUNK_SIZE
+        path = tmp_path / "big.csv"
+        write_dataset(path, Dataset(rng.normal(size=n), rng.normal(size=n), rng.random(n)))
+        load_dataset(_write(tmp_path, _HEADER + "0.5,-0.25,0.9\n", "warm.csv"))  # imports orjson
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 3 * ds.beta_re.nbytes
+
+    def test_orjson_parses_floats_as_float_does(self):
+        # The fast path's values are orjson's, and its exactness rests on
+        # this: the shortest repr of random bit patterns, 17 to 40 digit
+        # mantissas over the whole exponent range, and exact midpoints
+        # between adjacent doubles, where rounding is hardest.
+        rng = np.random.default_rng(12)
+        n = 20_000
+        bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+        strings = list(map(repr, bits[np.isfinite(bits)].tolist()))
+        digits = rng.integers(ord("0"), ord("9") + 1, size=(n, 40), dtype=np.uint8).tobytes().decode()
+        signs = rng.choice(["", "-"], n).tolist()
+        lengths, exponents = rng.integers(17, 41, n).tolist(), rng.integers(-330, 311, n).tolist()
+        strings += [f"{s}{digits[40 * i]}.{digits[40 * i + 1:40 * i + k]}e{e}"
+                    for i, (s, k, e) in enumerate(zip(signs, lengths, exponents))]
+        low = np.abs(rng.integers(0, 2**64, size=n // 2, dtype=np.uint64).view(np.float64))
+        low = low[low < np.inf]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 800  # exact: no double needs more than 767 digits
+            strings += [str((decimal.Decimal(a) + decimal.Decimal(b)) / 2)
+                        for a, b in zip(low.tolist(), np.nextafter(low, np.inf).tolist())]
+        assert len(strings) > 49_000
+        expected = np.array([float(s) for s in strings])
+        finite = np.isfinite(expected).tolist()
+        # orjson rejects what float() rounds to infinity, as load_dataset does.
+        for s in (s for s, f in zip(strings, finite) if not f):
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(s)
+        got = np.fromiter(orjson.loads(("[" + ",".join(s for s, f in zip(strings, finite) if f) + "]").encode()),
+                          float)
+        assert got.view(np.int64).tolist() == expected[np.isfinite(expected)].view(np.int64).tolist()
 
     def test_write_matches_per_row_writer(self, tmp_path):
         def write_per_row(path, ds):

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from telebound import (
     truncated_gain_fidelity,
     weighted_fidelity,
 )
+from telebound.simulate import CHUNK_SIZE
 
 N_BIG = 1_000_000
 
@@ -183,6 +186,32 @@ class TestGenerateDataset:
         assert np.array_equal(a.beta_re, b.beta_re)
         assert np.array_equal(a.beta_im, b.beta_im)
         assert np.array_equal(a.fidelity, b.fidelity)
+
+    def test_workers_fill_every_slice(self):
+        # Workers write their chunks into shared arrays; with more workers
+        # than cores and a short switch interval, a lost or misplaced write
+        # would leave a slice different from the serial run's.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for model in (Constant(0.58), SimulatedGain(0.7)):
+                a = generate_dataset(1.5, 9 * CHUNK_SIZE + 5, model, seed=9)
+                b = generate_dataset(1.5, 9 * CHUNK_SIZE + 5, model, seed=9, workers=8)
+                for column in ("beta_re", "beta_im", "fidelity"):
+                    assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_is_one_copy_of_the_output(self):
+        # Each chunk writes its slice of the output; holding every chunk's
+        # result and then their concatenation took about 2x the output.
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(2, 16 * CHUNK_SIZE, SimulatedGain(0.5), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 3 * ds.beta_re.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):
