@@ -35,6 +35,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # Report fields whose serialized key differs from the field name.
 _KEYS = {"lam": "lambda"}
 
+# Bootstrap indices drawn per rng call: small data draws many resamples at
+# once, and data of this many records or more draws one resample a call.
+_DRAWS_PER_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Report:
@@ -100,7 +104,10 @@ def bootstrap_ci(records: Dataset, lam: float, resamples: int = 1000, seed: int 
 
     Deterministic for a fixed seed: resample r draws n record indices from
     stream 0 of the seed, and its statistic is computed from how often each
-    record was drawn. The interval is widened, if necessary, to contain the
+    record was drawn. The indices of several resamples are drawn with one
+    call, a block of about 65,536 draws; that is the same stream in the same
+    order as one call per resample, so the statistics do not depend on the
+    block size. The interval is widened, if necessary, to contain the
     point estimate; identical records give a zero-width interval. A lam
     that sets some record's weight below the smallest normal float raises
     ValueError: a resample's ratio would be rounding noise, or 0 / 0.
@@ -118,9 +125,18 @@ def bootstrap_ci(records: Dataset, lam: float, resamples: int = 1000, seed: int 
     n = f.size
     wf = w * f
     stats = np.empty(resamples)
-    for r in range(resamples):
-        counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
-        stats[r] = np.dot(counts, wf) / np.dot(counts, w)
+    # One float buffer takes every resample's counts, and each block's draws
+    # are freed before the next are drawn. Large data draws one resample a
+    # block, so these n-length arrays are what sets the peak memory and how
+    # many fresh pages each resample faults in.
+    counts = np.empty(n)
+    block = max(1, _DRAWS_PER_BLOCK // n)
+    for start in range(0, resamples, block):
+        draws = rng.integers(0, n, (min(block, resamples - start), n))
+        for r, row in enumerate(draws, start):
+            np.copyto(counts, np.bincount(row, minlength=n))
+            stats[r] = np.dot(counts, wf) / np.dot(counts, w)
+        del draws
     tail = 0.5 * (1.0 - level)
     lo, hi = np.quantile(stats, [tail, 1.0 - tail])
     return min(float(lo), point), max(float(hi), point)

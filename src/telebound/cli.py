@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -242,9 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser as it was, so one per process serves every
+    # main call and spares each call the ~2 ms of building it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DatasetFormatError, ValueError, OSError) as exc:

@@ -16,7 +16,8 @@ core.seeded_stream(seed, i), a Philox generator seeded with
 SeedSequence(seed, spawn_key=(i,)). simulate sums the chunk results in
 index order, and generate_dataset has each chunk write its own slice of
 the output, so a run is bit-identical for fixed (seed, n, prior, strategy)
-regardless of the worker count.
+regardless of the worker count. A run of one chunk starts no threads: it
+runs in the caller's thread whatever the worker count.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _round(prior: Prior, strategy: Strategy, rng: np.random.Generator, count: in
 def _map_chunks(fn, n: int, workers: int):
     check_count(workers, "workers", 1)
     tasks = [(i, min(CHUNK_SIZE, n - start)) for i, start in enumerate(range(0, n, CHUNK_SIZE))]
-    if workers == 1:
+    if workers == 1 or len(tasks) == 1:
         return [fn(i, c) for i, c in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda t: fn(*t), tasks))

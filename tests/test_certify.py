@@ -439,6 +439,26 @@ def _gather_bootstrap_ci(ds, lam, resamples, seed, level=0.95):
     return min(float(lo), point), max(float(hi), point)
 
 
+
+def _counts_bootstrap_ci(ds, lam, resamples, seed, level=0.95):
+    """bootstrap_ci as it was written before draws were taken in blocks:
+    one rng call per resample. Kept as the bit-exact reference."""
+    rng = seeded_stream(seed, 0)
+    f = ds.fidelity
+    s = ds.beta_re**2 + ds.beta_im**2
+    w = np.exp(-lam * (s - np.min(s)))
+    point = float(np.dot(w, f) / np.sum(w))
+    n = f.size
+    wf = w * f
+    stats = np.empty(resamples)
+    for r in range(resamples):
+        counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+        stats[r] = np.dot(counts, wf) / np.dot(counts, w)
+    tail = 0.5 * (1.0 - level)
+    lo, hi = np.quantile(stats, [tail, 1.0 - tail])
+    return min(float(lo), point), max(float(hi), point)
+
+
 class TestBootstrapCI:
     @pytest.mark.parametrize("model,lam,seed", [
         (SimulatedGain(0.6), 0.0, 0),
@@ -456,6 +476,30 @@ class TestBootstrapCI:
             assert (lo, hi) == (model.value, model.value)
         else:
             assert lo < hi
+
+    # Blocks of 65536 // n resamples: 32768 and 21845, so one partial block;
+    # 13, whose last block is partial; one resample per call from n = 65536.
+    @pytest.mark.parametrize("n", [2, 3, 4999, 5000, 65536, 65537])
+    @pytest.mark.parametrize("resamples", [100, 1001])
+    def test_blocked_draws_match_per_resample_reference(self, n, resamples):
+        ds = generate_dataset(2.0, n, SimulatedGain(0.6), seed=n)
+        assert len(set(ds.fidelity)) > 1
+        assert bootstrap_ci(ds, 1.0, resamples, seed=7) == _counts_bootstrap_ci(
+            ds, 1.0, resamples, seed=7)
+
+    def test_peak_memory_at_one_resample_a_block(self):
+        # Above 65,536 records each rng call draws one resample's n indices.
+        # Holding them while a fresh float copy of the counts was made added
+        # one n-length array to the peak: 6.0 of them instead of 5.0.
+        n = 200_000
+        ds = generate_dataset(2.0, n, SimulatedGain(0.6), seed=1)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(ds, 1.0, resamples=100, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 8 * n
 
     def test_constant_dataset_zero_width(self):
         ds = generate_dataset(1.0, 400, Constant(0.58), seed=0)

@@ -5,8 +5,9 @@ import threading
 
 import pytest
 
-from telebound.cli import main
-from telebound.simulate import CHUNK_SIZE
+from telebound import cli
+from telebound.cli import build_parser, main
+from telebound.simulate import CHUNK_SIZE, generate_dataset
 
 
 def run(capsys, *argv):
@@ -304,3 +305,34 @@ def test_no_worker_outlives_a_call(capsys, tmp_path):
                "--workers", "2", "-o", str(tmp_path / "d.csv"))[0] == 0
     assert threading.active_count() == threads
     assert multiprocessing.active_children() == []
+
+
+def test_parser_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    # main parses with one parser per process; no call may leave anything
+    # in it that the next call sees.
+    path = tmp_path / "d.csv"
+    workers = []
+
+    def record(*args, **kwargs):
+        workers.append(kwargs["workers"])
+        return generate_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_dataset", record)
+    for count in ("3", None):
+        argv = ["generate", "--radius", "2", "-n", "300", "--model", "gain:0.6", "-o", str(path)]
+        assert run(capsys, *argv, *(["--workers", count] if count else []))[0] == 0
+    assert workers == [3, 1]
+
+    code, out, _ = run(capsys, "analyze", str(path), "--bootstrap", "100", "--json")
+    assert code == 0 and json.loads(out)["n_records"] == 300
+    code, out, _ = run(capsys, "analyze", str(path), "--bootstrap", "100")
+    assert code == 0 and kv(out)["records"] == "300" and not out.startswith("{")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--bootstrap", "many"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, out, _ = run(capsys, "analyze", str(path), "--bootstrap", "100", "--json")
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+    assert build_parser() is not build_parser()

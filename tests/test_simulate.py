@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 import tracemalloc
@@ -24,6 +25,10 @@ from telebound import (
     weighted_fidelity,
 )
 from telebound.simulate import CHUNK_SIZE
+
+# The package re-exports the function `simulate`, which hides the module of
+# the same name from attribute lookup.
+simulate_module = importlib.import_module("telebound.simulate")
 
 N_BIG = 1_000_000
 
@@ -231,3 +236,34 @@ class TestGenerateDataset:
         for model in (Constant(0.5), SimulatedGain(0.5)):
             with pytest.raises(ValueError, match="seed must .* got -1"):
                 generate_dataset(1.0, 10, model, seed=-1)
+
+
+class TestOneChunk:
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("n", [1, 1000, CHUNK_SIZE])
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_runs_in_the_callers_thread(self, no_pool, n, workers):
+        a = simulate(UniformDisk(2.0), Gain(0.5), n, seed=4)
+        assert simulate(UniformDisk(2.0), Gain(0.5), n, seed=4, workers=workers) == a
+        for model in (Constant(0.58), SimulatedGain(0.7)):
+            a = generate_dataset(2.0, n, model, seed=4)
+            b = generate_dataset(2.0, n, model, seed=4, workers=workers)
+            for column in ("beta_re", "beta_im", "fidelity"):
+                assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+
+    def test_two_chunks_still_use_the_pool(self, no_pool):
+        with pytest.raises(AssertionError, match="thread pool"):
+            simulate(UniformDisk(2.0), Gain(0.5), CHUNK_SIZE + 1, seed=4, workers=2)
+        with pytest.raises(AssertionError, match="thread pool"):
+            generate_dataset(2.0, CHUNK_SIZE + 1, Constant(0.58), seed=4, workers=2)
+
+    def test_worker_count_is_still_checked(self, no_pool):
+        with pytest.raises(ValueError, match="workers"):
+            simulate(UniformDisk(2.0), Gain(0.5), 10, seed=4, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            generate_dataset(2.0, 10, SimulatedGain(0.7), seed=4, workers=0)
