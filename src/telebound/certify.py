@@ -18,6 +18,8 @@ item 1.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
@@ -35,9 +37,24 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # Report fields whose serialized key differs from the field name.
 _KEYS = {"lam": "lambda"}
 
-# Bootstrap indices drawn per rng call: small data draws many resamples at
-# once, and data of this many records or more draws one resample a call.
+# Bootstrap indices drawn per rng call, from one flat stream of
+# resamples * n draws.
 _DRAWS_PER_BLOCK = 1 << 16
+
+# OpenBLAS runs a dot of up to 10,000 elements on one thread, so a dot taken
+# in slices of at most this many has the same bits for any thread count.
+_DOT_SLICE = 1 << 13
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """np.dot summed over consecutive slices of at most _DOT_SLICE elements,
+    in index order; one slice is exactly np.dot."""
+    if a.size <= _DOT_SLICE:
+        return np.dot(a, b)
+    total = np.dot(a[:_DOT_SLICE], b[:_DOT_SLICE])
+    for start in range(_DOT_SLICE, a.size, _DOT_SLICE):
+        total += np.dot(a[start:start + _DOT_SLICE], b[start:start + _DOT_SLICE])
+    return total
 
 
 @dataclass(frozen=True)
@@ -85,7 +102,7 @@ def _weighted_mean(records: Dataset, lam: float, minimum: int, caller: str):
     # Shift the exponent so large lam cannot underflow every weight; the
     # self-normalized ratio is unchanged.
     w = np.exp(-lam * (s - np.min(s)))
-    return float(np.dot(w, f) / np.sum(w)), f, w
+    return float(_dot(w, f) / np.sum(w)), f, w
 
 
 def weighted_fidelity(records: Dataset, lam: float) -> float:
@@ -104,13 +121,18 @@ def bootstrap_ci(records: Dataset, lam: float, resamples: int = 1000, seed: int 
 
     Deterministic for a fixed seed: resample r draws n record indices from
     stream 0 of the seed, and its statistic is computed from how often each
-    record was drawn. The indices of several resamples are drawn with one
-    call, a block of about 65,536 draws; that is the same stream in the same
-    order as one call per resample, so the statistics do not depend on the
-    block size. The interval is widened, if necessary, to contain the
-    point estimate; identical records give a zero-width interval. A lam
-    that sets some record's weight below the smallest normal float raises
-    ValueError: a resample's ratio would be rounding noise, or 0 / 0.
+    record was drawn. The indices of all resamples are one flat stream of
+    resamples * n draws, taken 65,536 at a time; that is the same stream in
+    the same order as one call per resample, so the statistics do not
+    depend on the block size. A stream of more than one block is drawn by
+    the caller while one helper thread counts it, at most two blocks
+    behind; a single block is counted in the caller's thread. Every dot is
+    _dot, summed over slices that OpenBLAS runs on one thread, so the bits
+    do not depend on the BLAS thread count. The interval is widened, if
+    necessary, to contain the point estimate; identical records give a
+    zero-width interval. A lam that sets some record's weight below the
+    smallest normal float raises ValueError: a resample's ratio would be
+    rounding noise, or 0 / 0.
     """
     check_count(resamples, "resamples", 100)
     if not (0.0 < level < 1.0):
@@ -125,18 +147,40 @@ def bootstrap_ci(records: Dataset, lam: float, resamples: int = 1000, seed: int 
     n = f.size
     wf = w * f
     stats = np.empty(resamples)
-    # One float buffer takes every resample's counts, and each block's draws
-    # are freed before the next are drawn. Large data draws one resample a
-    # block, so these n-length arrays are what sets the peak memory and how
-    # many fresh pages each resample faults in.
-    counts = np.empty(n)
-    block = max(1, _DRAWS_PER_BLOCK // n)
-    for start in range(0, resamples, block):
-        draws = rng.integers(0, n, (min(block, resamples - start), n))
-        for r, row in enumerate(draws, start):
-            np.copyto(counts, np.bincount(row, minlength=n))
-            stats[r] = np.dot(counts, wf) / np.dot(counts, w)
-        del draws
+    # One float buffer takes every resample's counts. Adding 1.0 per draw
+    # keeps them exact integers, so each statistic is a bincount's.
+    counts = np.zeros(n)
+    r = filled = 0
+
+    def count(block):
+        # Called once per block, in stream order, by one thread at a time.
+        nonlocal r, filled
+        start = 0
+        while start < block.size:
+            piece = block[start:start + n - filled]
+            np.add.at(counts, piece, 1.0)
+            start += piece.size
+            filled += piece.size
+            if filled == n:
+                stats[r] = _dot(counts, wf) / _dot(counts, w)
+                counts.fill(0.0)
+                r, filled = r + 1, 0
+
+    total = resamples * n
+    if total <= _DRAWS_PER_BLOCK:
+        count(rng.integers(0, n, total))
+    else:
+        # The caller draws the stream while the helper counts, at most two
+        # blocks behind.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            counted = deque()
+            for start in range(0, total, _DRAWS_PER_BLOCK):
+                block = rng.integers(0, n, min(_DRAWS_PER_BLOCK, total - start))
+                counted.append(pool.submit(count, block))
+                if len(counted) > 2:
+                    counted.popleft().result()
+            for future in counted:
+                future.result()
     tail = 0.5 * (1.0 - level)
     lo, hi = np.quantile(stats, [tail, 1.0 - tail])
     return min(float(lo), point), max(float(hi), point)

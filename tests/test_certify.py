@@ -3,7 +3,11 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import orjson
@@ -26,6 +30,7 @@ from telebound import (
     write_dataset,
 )
 
+from telebound import certify
 from telebound.core import seeded_stream
 from telebound.data import CHUNK_SIZE, CSV_HEADER, _read_lines
 
@@ -440,20 +445,31 @@ def _gather_bootstrap_ci(ds, lam, resamples, seed, level=0.95):
 
 
 
+def _sliced_dot(a, b):
+    """np.dot summed over slices of 8,192 elements in index order: one BLAS
+    thread per slice, so the bits do not depend on the thread count."""
+    size = 1 << 13
+    total = np.dot(a[:size], b[:size])
+    for start in range(size, a.size, size):
+        total += np.dot(a[start:start + size], b[start:start + size])
+    return total
+
+
 def _counts_bootstrap_ci(ds, lam, resamples, seed, level=0.95):
     """bootstrap_ci as it was written before draws were taken in blocks:
-    one rng call per resample. Kept as the bit-exact reference."""
+    one rng call per resample. Kept as the bit-exact reference; its dots are
+    sliced by the same rule as certify's, written out here."""
     rng = seeded_stream(seed, 0)
     f = ds.fidelity
     s = ds.beta_re**2 + ds.beta_im**2
     w = np.exp(-lam * (s - np.min(s)))
-    point = float(np.dot(w, f) / np.sum(w))
+    point = float(_sliced_dot(w, f) / np.sum(w))
     n = f.size
     wf = w * f
     stats = np.empty(resamples)
     for r in range(resamples):
         counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
-        stats[r] = np.dot(counts, wf) / np.dot(counts, w)
+        stats[r] = _sliced_dot(counts, wf) / _sliced_dot(counts, w)
     tail = 0.5 * (1.0 - level)
     lo, hi = np.quantile(stats, [tail, 1.0 - tail])
     return min(float(lo), point), max(float(hi), point)
@@ -477,9 +493,11 @@ class TestBootstrapCI:
         else:
             assert lo < hi
 
-    # Blocks of 65536 // n resamples: 32768 and 21845, so one partial block;
-    # 13, whose last block is partial; one resample per call from n = 65536.
-    @pytest.mark.parametrize("n", [2, 3, 4999, 5000, 65536, 65537])
+    # The stream is drawn in blocks of 65,536 indices. At n = 2 and 3 all
+    # resamples fit in one block; at 4999 and 5000 a resample
+    # straddles two blocks; from 8193 the statistic's dots take two slices;
+    # from 65536 a resample spans whole blocks.
+    @pytest.mark.parametrize("n", [2, 3, 4999, 5000, 8192, 8193, 10001, 65536, 65537])
     @pytest.mark.parametrize("resamples", [100, 1001])
     def test_blocked_draws_match_per_resample_reference(self, n, resamples):
         ds = generate_dataset(2.0, n, SimulatedGain(0.6), seed=n)
@@ -488,9 +506,10 @@ class TestBootstrapCI:
             ds, 1.0, resamples, seed=7)
 
     def test_peak_memory_at_one_resample_a_block(self):
-        # Above 65,536 records each rng call draws one resample's n indices.
-        # Holding them while a fresh float copy of the counts was made added
-        # one n-length array to the peak: 6.0 of them instead of 5.0.
+        # The counts go into one buffer, block by block, so no n-length array
+        # is allocated per resample: the peak is 4.0 n-length arrays. Drawing
+        # a resample's n indices and its bincount at once held 5.0, and a
+        # fresh float copy of the counts besides held 6.0.
         n = 200_000
         ds = generate_dataset(2.0, n, SimulatedGain(0.6), seed=1)
         tracemalloc.start()
@@ -499,7 +518,39 @@ class TestBootstrapCI:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * 8 * n
+        assert peak < 4.5 * 8 * n
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 4096, 8191, 8192])
+    def test_dot_is_np_dot_up_to_one_slice(self, size):
+        rng = np.random.default_rng(size)
+        a, b = rng.random(size), rng.random(size)
+        assert certify._dot(a, b).tobytes() == np.dot(a, b).tobytes()
+
+    def test_dot_of_many_slices_is_accurate(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.random(10**6), rng.random(10**6)
+        exact = math.fsum(a * b)
+        assert abs(certify._dot(a, b) - exact) <= 1e-15 * exact
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a dot of more than 10,000 elements across its
+        # threads; before the dots were sliced, this file's weighted fidelity
+        # and interval differed in the last bits between 1 and 2 threads.
+        path = tmp_path / "gain.csv"
+        write_dataset(path, generate_dataset(2.0, 20_000, SimulatedGain(0.458), seed=3))
+        src = os.path.dirname(os.path.dirname(certify.__file__))
+        code = "import sys, telebound.cli; sys.exit(telebound.cli.main())"
+        outs = []
+        for threads in (None, "1"):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            outs.append(subprocess.run([sys.executable, "-c", code, "analyze", str(path), "--json"],
+                                       env=env, capture_output=True, text=True, check=True,
+                                       timeout=120).stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["n_records"] == 20_000
 
     def test_constant_dataset_zero_width(self):
         ds = generate_dataset(1.0, 400, Constant(0.58), seed=0)
@@ -549,6 +600,85 @@ class TestBootstrapCI:
             lo, hi = bootstrap_ci(ds, 1.0, resamples=500, seed=s)
             cover += lo <= true <= hi
         assert 180 <= cover <= 200
+
+
+class TestHelperThread:
+    """More than one block of draws is counted on a helper thread."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+        monkeypatch.setattr(certify, "ThreadPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("n,resamples", [(2, 1000), (655, 100), (256, 256)])
+    def test_one_block_runs_in_the_callers_thread(self, no_pool, n, resamples):
+        ds = generate_dataset(2.0, n, SimulatedGain(0.6), seed=n)
+        assert bootstrap_ci(ds, 1.0, resamples, seed=7) == _counts_bootstrap_ci(
+            ds, 1.0, resamples, seed=7)
+
+    def test_two_blocks_use_the_pool(self, no_pool):
+        ds = generate_dataset(2.0, 257, SimulatedGain(0.6), seed=1)
+        with pytest.raises(AssertionError, match="thread pool"):
+            bootstrap_ci(ds, 1.0, 256, seed=7)
+
+    def test_threads_are_joined_on_return(self):
+        ds = generate_dataset(2.0, 5_000, SimulatedGain(0.6), seed=3)
+        before = threading.active_count()
+        bootstrap_ci(ds, 1.0, resamples=200, seed=1)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # More threads than cores, switching often: each call's counts stay
+        # its own, so every interval is still the reference's.
+        ds = generate_dataset(2.0, 5_000, SimulatedGain(0.6), seed=3)
+        expected = [_counts_bootstrap_ci(ds, 1.0, 100, seed) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda seed: bootstrap_ci(ds, 1.0, 100, seed=seed), range(4),
+                                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_a_failure_in_the_helper_propagates(self, monkeypatch):
+        ds = generate_dataset(2.0, 5_000, SimulatedGain(0.6), seed=3)
+        calls = []
+
+        def failing_dot(a, b):
+            calls.append(threading.get_ident())
+            if len(calls) > 40:
+                raise FloatingPointError("injected")
+            return np.dot(a, b)
+
+        monkeypatch.setattr(certify, "_dot", failing_dot)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="injected"):
+            bootstrap_ci(ds, 1.0, resamples=200, seed=1)
+        assert threading.active_count() == before
+        # The point estimate is the caller's; the resamples are the helper's.
+        assert calls[0] == threading.get_ident() != calls[-1]
+
+    def test_a_failure_in_the_stream_propagates(self, monkeypatch):
+        ds = generate_dataset(2.0, 5_000, SimulatedGain(0.6), seed=3)
+
+        class FailingStream:
+            def __init__(self, rng):
+                self.rng, self.blocks = rng, 0
+
+            def integers(self, *args):
+                self.blocks += 1
+                if self.blocks > 5:
+                    raise OverflowError("injected")
+                return self.rng.integers(*args)
+
+        monkeypatch.setattr(certify, "seeded_stream", lambda *a: FailingStream(seeded_stream(*a)))
+        before = threading.active_count()
+        with pytest.raises(OverflowError, match="injected"):
+            bootstrap_ci(ds, 1.0, resamples=200, seed=1)
+        assert threading.active_count() == before
 
 
 class TestVerdict:
