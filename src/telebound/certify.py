@@ -41,8 +41,9 @@ _KEYS = {"lam": "lambda"}
 # resamples * n draws.
 _DRAWS_PER_BLOCK = 1 << 16
 
-# OpenBLAS runs a dot of up to 10,000 elements on one thread, so a dot taken
-# in slices of at most this many has the same bits for any thread count.
+# OpenBLAS's x86_64 ddot kernel (kernel/x86_64/ddot.c) runs a dot of up to
+# 10,000 elements on one thread, so a dot taken in slices of at most this
+# many has the same bits for any OpenBLAS thread count.
 _DOT_SLICE = 1 << 13
 
 
@@ -124,11 +125,10 @@ def bootstrap_ci(records: Dataset, lam: float, resamples: int = 1000, seed: int 
     record was drawn. The indices of all resamples are one flat stream of
     resamples * n draws, taken 65,536 at a time; that is the same stream in
     the same order as one call per resample, so the statistics do not
-    depend on the block size. A stream of more than one block is drawn by
-    the caller while one helper thread counts it, at most two blocks
-    behind; a single block is counted in the caller's thread. Every dot is
-    _dot, summed over slices that OpenBLAS runs on one thread, so the bits
-    do not depend on the BLAS thread count. The interval is widened, if
+    depend on the block size. The caller draws the stream while one helper
+    thread counts it, at most two blocks behind. Every dot is _dot, summed
+    over slices that OpenBLAS runs on one thread, so the bits do not depend
+    on the OpenBLAS thread count. The interval is widened, if
     necessary, to contain the point estimate; identical records give a
     zero-width interval. A lam that sets some record's weight below the
     smallest normal float raises ValueError: a resample's ratio would be
@@ -166,21 +166,18 @@ def bootstrap_ci(records: Dataset, lam: float, resamples: int = 1000, seed: int 
                 counts.fill(0.0)
                 r, filled = r + 1, 0
 
+    # The caller draws the stream while the helper counts, at most two
+    # blocks behind.
     total = resamples * n
-    if total <= _DRAWS_PER_BLOCK:
-        count(rng.integers(0, n, total))
-    else:
-        # The caller draws the stream while the helper counts, at most two
-        # blocks behind.
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            counted = deque()
-            for start in range(0, total, _DRAWS_PER_BLOCK):
-                block = rng.integers(0, n, min(_DRAWS_PER_BLOCK, total - start))
-                counted.append(pool.submit(count, block))
-                if len(counted) > 2:
-                    counted.popleft().result()
-            for future in counted:
-                future.result()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        counted = deque()
+        for start in range(0, total, _DRAWS_PER_BLOCK):
+            block = rng.integers(0, n, min(_DRAWS_PER_BLOCK, total - start))
+            counted.append(pool.submit(count, block))
+            if len(counted) > 2:
+                counted.popleft().result()
+        for future in counted:
+            future.result()
     tail = 0.5 * (1.0 - level)
     lo, hi = np.quantile(stats, [tail, 1.0 - tail])
     return min(float(lo), point), max(float(hi), point)

@@ -603,24 +603,7 @@ class TestBootstrapCI:
 
 
 class TestHelperThread:
-    """More than one block of draws is counted on a helper thread."""
-
-    @pytest.fixture
-    def no_pool(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-        monkeypatch.setattr(certify, "ThreadPoolExecutor", refuse)
-
-    @pytest.mark.parametrize("n,resamples", [(2, 1000), (655, 100), (256, 256)])
-    def test_one_block_runs_in_the_callers_thread(self, no_pool, n, resamples):
-        ds = generate_dataset(2.0, n, SimulatedGain(0.6), seed=n)
-        assert bootstrap_ci(ds, 1.0, resamples, seed=7) == _counts_bootstrap_ci(
-            ds, 1.0, resamples, seed=7)
-
-    def test_two_blocks_use_the_pool(self, no_pool):
-        ds = generate_dataset(2.0, 257, SimulatedGain(0.6), seed=1)
-        with pytest.raises(AssertionError, match="thread pool"):
-            bootstrap_ci(ds, 1.0, 256, seed=7)
+    """The draws are counted on a helper thread, which every call joins."""
 
     def test_threads_are_joined_on_return(self):
         ds = generate_dataset(2.0, 5_000, SimulatedGain(0.6), seed=3)
