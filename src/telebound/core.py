@@ -41,7 +41,6 @@ __all__ = [
     "RadialCurve",
     "Strategy",
     "fidelity_kernel",
-    "prior_density",
     "tail_mass",
     "apply_strategy",
 ]
@@ -179,11 +178,6 @@ class UniformDisk(TruncatedGaussian):
 # Every supported prior is a TruncatedGaussian; GaussianIso and UniformDisk
 # only fix one of its fields.
 Prior = TruncatedGaussian
-
-
-def prior_density(prior: Prior, beta: ComplexAmp) -> float:
-    """Probability density of `prior` at the amplitude `beta`."""
-    return prior.density(beta)
 
 
 def tail_mass(lam: float, radius: float) -> float:

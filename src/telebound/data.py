@@ -25,9 +25,10 @@ the result of the line reader:
   3. the line reader, for a file neither accepts; it names the offending
      line. A pipe cannot be read twice, so it is read by this tier only.
 
-write_dataset's bytes equal those of a per-row writer joining repr(value):
-orjson formats the rows, and repr formats each row holding a value outside
-1e-4 <= |x| < 1e16 (other than 0).
+write_dataset's bytes equal those of a per-row writer joining repr(value).
+It writes CHUNK_SIZE rows at a time: orjson dumps the values of the rows
+inside 1e-4 <= |x| < 1e16 (or 0) as one flat list, whose separators become
+line ends in place, and repr formats each other row, spliced in at its line.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ __all__ = ["DatasetRecord", "Dataset", "DatasetFormatError", "load_dataset", "wr
 CSV_HEADER = ("beta_re", "beta_im", "fidelity")
 
 # write_dataset formats and writes this many rows at a time, so its memory
-# stays flat in the number of records.
-CHUNK_SIZE = 65_536
+# stays flat in the number of records. Writing 1e6 rows took the same time
+# at 4,096 to 16,384 rows a chunk, and longer at 32,768 and above.
+CHUNK_SIZE = 8_192
 
 # load_dataset's fast path parses the file this many bytes at a time. A
 # block's copies and its list of floats take about six times its size while
@@ -200,7 +202,8 @@ def _parse_block(block: bytes, table: np.ndarray, row: int) -> Optional[int]:
     three numbers that float() reads to the same double."""
     import orjson  # here, not at module level: `import telebound` stays lean
 
-    block = block.replace(b"\r\n", b"\n")
+    if b"\r" in block:  # a byte scan, far cheaper than searching for CRLF
+        block = block.replace(b"\r\n", b"\n")
     if not block.endswith(b"\n"):
         block += b"\n"
     # Without its field bytes, each line must be exactly ",,\n". Any other
@@ -308,27 +311,39 @@ def _format_rows(block: np.ndarray) -> bytes:
     """CSV lines for a C-contiguous (rows, 3) float64 block, byte-equal to
     joining the repr of each value. orjson writes the same shortest
     round-trip digits as repr, in the same notation for 0 and for
-    1e-4 <= |x| < 1e16. The rows holding any other value are formatted by
-    repr and merged back in place, so the cost does not grow with how those
-    rows are scattered."""
+    1e-4 <= |x| < 1e16. It dumps the values of the rows holding only those
+    as one flat list, whose every third comma and closing bracket become
+    line ends in place. The rows holding any other value are formatted by
+    repr and spliced in at their line offsets, so the Python work grows
+    with those rows only."""
     import orjson  # here, not at module level: `import telebound` stays lean
 
     magnitude = np.abs(block)
     needs_repr = ~(((magnitude >= 1e-4) & (magnitude < 1e16)) | (block == 0.0)).all(axis=1)
-    text = orjson.dumps(block[~needs_repr], option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-    if not needs_repr.any():
-        return text.replace(b"],[", b"\n") + b"\n"
-    ordinary = iter(text.split(b"],["))
-    columns = [map(repr, c) for c in block[needs_repr].T.tolist()]
-    fixed = iter("\n".join(map(",".join, zip(*columns))).encode().split(b"\n"))
-    return b"\n".join([next(fixed) if f else next(ordinary) for f in needs_repr.tolist()]) + b"\n"
+    text = np.frombuffer(orjson.dumps(block[~needs_repr].ravel(), option=orjson.OPT_SERIALIZE_NUMPY),
+                         np.uint8).copy()
+    line_ends = np.flatnonzero(text == ord(","))[2::3]
+    text[line_ends] = text[-1] = ord("\n")
+    # Where each ordinary line starts in the text after the opening bracket,
+    # and where the last one ends; an empty list ("[]") has no line.
+    repr_rows = np.flatnonzero(needs_repr)
+    starts = np.concatenate(([0], line_ends, [text.size - 1]))[:len(block) - repr_rows.size + 1]
+    cuts = [0, *starts[repr_rows - np.arange(repr_rows.size)].tolist(), int(starts[-1])]
+    body = memoryview(text)[1:]
+    pieces = [None] * (2 * repr_rows.size + 1)
+    pieces[0::2] = [body[a:b] for a, b in zip(cuts, cuts[1:])]
+    pieces[1::2] = ["{!r},{!r},{!r}\n".format(*row).encode() for row in block[needs_repr].tolist()]
+    return b"".join(pieces)
 
 
 def write_dataset(path, records: Dataset) -> None:
     """Write records in the CSV format accepted by load_dataset.
 
     Each float is written as its repr, so a write/load round trip is
-    bit-exact. Rows are formatted CHUNK_SIZE at a time by _format_rows.
+    bit-exact. Rows are formatted CHUNK_SIZE at a time by _format_rows, so
+    the memory the write takes stays within a few chunks whatever the
+    number of records; no Python code runs per row, except for a row that
+    holds a value outside 1e-4 <= |x| < 1e16 (other than 0).
     """
     columns = (records.beta_re, records.beta_im, records.fidelity)
     with open(path, "wb") as fh:

@@ -53,7 +53,6 @@ from .core import (Gain, GaussianIso, Prior, RadialCurve, Strategy, check_count,
 __all__ = [
     "QuadratureSpec",
     "QuadResult",
-    "auto_spec",
     "average_fidelity_quad",
     "restricted_fidelity_quad",
     "decomposition_residual",
@@ -191,18 +190,6 @@ def _alpha_cut(spec: QuadratureSpec, b_max: float) -> float:
     if spec.outer_cut_radius is not None:
         return spec.outer_cut_radius
     return b_max + math.sqrt(math.log(1.0 / (spec.truncation_tol / 2.0))) + 2.0
-
-
-def auto_spec(prior: Prior, strategy: Strategy, truncation_tol: float = 1e-9,
-              radial_nodes: int = 16) -> QuadratureSpec:
-    """Spec for integrating `strategy` against `prior`.
-
-    The relative angle is integrated exactly and unit-width radial panels are
-    resolved to near machine precision by Gauss-Legendre for every supported
-    prior and strategy, so the spec depends on neither; both stay in the
-    signature so existing callers keep working.
-    """
-    return QuadratureSpec(radial_nodes=radial_nodes, truncation_tol=truncation_tol)
 
 
 def _chbevl(x: np.ndarray, coef) -> np.ndarray:

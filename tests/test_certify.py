@@ -263,11 +263,39 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("block_size", [None, 97])
+    @pytest.mark.parametrize("line_end", ["crlf", "bare-cr"])
+    def test_line_ends_across_blocks(self, tmp_path, monkeypatch, line_end, block_size):
+        # About 160 KB: several blocks at the default size too. A CRLF file
+        # stays on the fast path; one bare CR in a middle block leaves it.
+        rng = np.random.default_rng(8)
+        n = 3_000
+        ds = Dataset(rng.normal(size=n), rng.normal(size=n), rng.random(n))
+        path = tmp_path / "ds.csv"
+        write_dataset(path, ds)
+        if line_end == "crlf":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        else:
+            text = path.read_bytes()
+            at = text.index(b"\n", len(text) // 2)
+            path.write_bytes(text[:at] + b"\r" + text[at + 1:])
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+            expected = _read_lines(fh)
+        if block_size is not None:
+            monkeypatch.setattr("telebound.data.BLOCK_SIZE", block_size)
+        if line_end == "crlf":
+            monkeypatch.setattr("telebound.data._read_bulk", None)
+            monkeypatch.setattr("telebound.data._read_lines", None)
+        got = load_dataset(path)
+        for column in ("beta_re", "beta_im", "fidelity"):
+            a, b = getattr(got, column), getattr(expected, column)
+            assert a.tobytes() == b.tobytes() == getattr(ds, column).tobytes()
+
     def test_load_peak_memory(self, tmp_path):
         # The columns are filled in place, a block at a time; loadtxt's table
         # and its transposed copy took about 2.1x the columns.
         rng = np.random.default_rng(6)
-        n = 4 * CHUNK_SIZE
+        n = 262_144
         path = tmp_path / "big.csv"
         write_dataset(path, Dataset(rng.normal(size=n), rng.normal(size=n), rng.random(n)))
         load_dataset(_write(tmp_path, _HEADER + "0.5,-0.25,0.9\n", "warm.csv"))  # imports orjson
@@ -310,7 +338,7 @@ class TestLoadDataset:
                           float)
         assert got.view(np.int64).tolist() == expected[np.isfinite(expected)].view(np.int64).tolist()
 
-    def test_write_matches_per_row_writer(self, tmp_path):
+    def test_write_matches_per_row_writer(self, tmp_path, monkeypatch):
         def write_per_row(path, ds):
             # The per-row writer write_dataset replaced, kept as the reference.
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -318,19 +346,6 @@ class TestLoadDataset:
                 for i in range(len(ds)):
                     fh.write(f"{float(ds.beta_re[i])!r},{float(ds.beta_im[i])!r},"
                              f"{float(ds.fidelity[i])!r}\n")
-
-        # CHUNK_SIZE + 1 rows cross a chunk boundary; the special values sit
-        # at both ends of the first chunk and in the one-row second chunk.
-        rng = np.random.default_rng(4)
-        n = CHUNK_SIZE + 1
-        re, im, fid = rng.normal(size=n), rng.normal(size=n) * 1e3, rng.random(n)
-        special = [-0.0, 5e-324, 1e-5, 0.58, 1.0]
-        for at in (0, CHUNK_SIZE - len(special), n - 1):
-            k = min(len(special), n - at)
-            re[at:at + k] = [-0.0, 5e-324, 1e-5, 1e16, -1e16][:k]
-            im[at:at + k] = [0.58, -0.0, 1e16, 5e-324, 1e-5][:k]
-            fid[at:at + k] = special[:k]
-        datasets = [Dataset(re, im, fid)]
 
         # Random 52-bit mantissas of both signs, with binary exponents from
         # -14 to 53: most rows stay where orjson formats every value
@@ -341,7 +356,9 @@ class TestLoadDataset:
         # either side of each power of ten from 1e-5 to 1e17, signed zeros,
         # the smallest subnormal and the largest double. They fill one column
         # at a time, in consecutive blocks of rows whose other values need no
-        # repr, on both sides of the first chunk boundary.
+        # repr, from the first chunk boundary that leaves room for half of
+        # them before it.
+        rng = np.random.default_rng(4)
         n = 70_000
         sign = rng.choice([-1.0, 1.0], (2, n))
         re, im = sign * np.ldexp(1.0 + rng.random((2, n)), rng.integers(-14, 54, (2, n)))
@@ -356,23 +373,69 @@ class TestLoadDataset:
         edge = np.concatenate([ulps, -ulps, [0.0, -0.0, 5e-324, 1.7976931348623157e308,
                                              -1.7976931348623157e308]])
         unit = edge[(edge >= 0.0) & (edge <= 1.0)]
-        start = CHUNK_SIZE - 3 * edge.size // 2
+        half = 3 * edge.size // 2
+        start = first = math.ceil(half / CHUNK_SIZE) * CHUNK_SIZE - half
         for column, values in ((re, edge), (im, edge), (fid, unit)):
             rows = slice(start, start + values.size)
             re[rows], im[rows], fid[rows] = *rng.normal(size=(2, values.size)), rng.random(values.size)
             column[rows] = values
             start += values.size
-        assert start <= n
-        datasets.append(Dataset(re, im, fid))
-
+        assert start <= 50_000
+        mixed = Dataset(re, im, fid)
+        # At the small chunk sizes, 600 of its rows: into the edge block, and
+        # into the random bit patterns.
+        rows = np.r_[first - 150:first + 150, 49_850:50_150]
+        window = Dataset(re[rows], im[rows], fid[rows])
         # A block with no value outside orjson's range, and an empty dataset.
-        datasets += [Dataset(1.0 + rng.random(1_000), -8.0 - rng.random(1_000), 0.5 + rng.random(1_000) / 2),
-                     Dataset([], [], [])]
-        for ds in datasets:
-            write_dataset(tmp_path / "chunked.csv", ds)
-            write_per_row(tmp_path / "per_row.csv", ds)
-            assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
-        assert (tmp_path / "chunked.csv").read_bytes() == b"beta_re,beta_im,fidelity\n"
+        ordinary = Dataset(1.0 + rng.random(1_000), -8.0 - rng.random(1_000), 0.5 + rng.random(1_000) / 2)
+        empty = Dataset([], [], [])
+
+        for chunk in (CHUNK_SIZE, 1, 2, 3, 7):
+            monkeypatch.setattr("telebound.data.CHUNK_SIZE", chunk)
+            # chunk + 1 rows cross a chunk boundary; the special values sit
+            # at both ends of the first chunk and in the one-row second chunk.
+            n = chunk + 1
+            re, im, fid = rng.normal(size=n), rng.normal(size=n) * 1e3, rng.random(n)
+            special = [-0.0, 5e-324, 1e-5, 0.58, 1.0]
+            for at in (0, max(0, chunk - len(special)), n - 1):
+                k = min(len(special), n - at)
+                re[at:at + k] = [-0.0, 5e-324, 1e-5, 1e16, -1e16][:k]
+                im[at:at + k] = [0.58, -0.0, 1e16, 5e-324, 1e-5][:k]
+                fid[at:at + k] = special[:k]
+            datasets = [Dataset(re, im, fid)]
+
+            # Rows that need repr as the first and the last row of chunk 0,
+            # as two adjacent rows inside chunk 1, as every row of chunk 2,
+            # and as the one row of the last chunk; chunk 3 has none.
+            n = 4 * chunk + 1
+            re, im, fid = rng.normal(size=n), rng.normal(size=n), rng.random(n)
+            middle = chunk + chunk // 2
+            for row in {0, chunk - 1, middle, min(middle + 1, 2 * chunk - 1), *range(2 * chunk, 3 * chunk), n - 1}:
+                (re, im, fid)[row % 3][row] = 1e-4 * (1.0 - rng.random())
+            datasets.append(Dataset(re, im, fid))
+
+            datasets += [mixed if chunk == CHUNK_SIZE else window, ordinary, empty]
+            for ds in datasets:
+                write_dataset(tmp_path / "chunked.csv", ds)
+                write_per_row(tmp_path / "per_row.csv", ds)
+                assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+            assert (tmp_path / "chunked.csv").read_bytes() == b"beta_re,beta_im,fidelity\n"
+
+    def test_write_peak_memory(self, tmp_path):
+        # Each chunk's block, its orjson text, the text's copy and the line
+        # ends are freed before the next chunk: the peak is a few chunks,
+        # whatever the number of rows (here 32 chunks).
+        rng = np.random.default_rng(7)
+        n = 262_144
+        ds = Dataset(rng.normal(size=n), rng.normal(size=n), rng.random(n))
+        write_dataset(tmp_path / "warm.csv", Dataset([0.5], [-0.25], [0.9]))  # imports orjson
+        tracemalloc.start()
+        try:
+            write_dataset(tmp_path / "big.csv", ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 3 * 8 * CHUNK_SIZE
 
 
 class TestWeightedFidelity:

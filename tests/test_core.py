@@ -15,7 +15,6 @@ from telebound import (
     average_fidelity_quad,
     fidelity_kernel,
     gain_fidelity,
-    prior_density,
     sample_prior,
     tail_mass,
 )
@@ -78,13 +77,13 @@ class TestFidelityKernel:
 
 class TestPriorDensity:
     def test_gaussian_at_origin(self):
-        assert prior_density(GaussianIso(1.0), 0j) == pytest.approx(1.0 / math.pi, rel=1e-15)
+        assert GaussianIso(1.0).density(0j) == pytest.approx(1.0 / math.pi, rel=1e-15)
 
     def test_disk_outside_support(self):
-        assert prior_density(UniformDisk(1.0), 2 + 0j) == 0.0
+        assert UniformDisk(1.0).density(2 + 0j) == 0.0
 
     def test_truncated_uniform_limit_value(self):
-        assert prior_density(TruncatedGaussian(0.0, 2.0), 1 + 0j) == pytest.approx(1.0 / (4 * math.pi), rel=1e-15)
+        assert TruncatedGaussian(0.0, 2.0).density(1 + 0j) == pytest.approx(1.0 / (4 * math.pi), rel=1e-15)
 
     @pytest.mark.parametrize("prior", [GaussianIso(0.1), GaussianIso(1.0), GaussianIso(5.0),
                                        UniformDisk(1.0), UniformDisk(3.0),
@@ -105,14 +104,14 @@ class TestPriorDensity:
         rim = min(prior.radius, 3.0)
         for beta in (0j, 0.3 - 0.4j, rim * np.exp(0.7j), rim + 1e-12, 1j * (rim + 1.0), 1e200 + 0j):
             expected = float(prior.radial_density(abs(beta)))
-            assert prior_density(prior, beta) == expected
-        assert prior_density(prior, 1e200) == 0.0
+            assert prior.density(beta) == expected
+        assert prior.density(1e200) == 0.0
 
     def test_truncated_tends_to_uniform_disk(self):
         tg = TruncatedGaussian(1e-8, 3.0)
         disk = UniformDisk(3.0)
         for beta in [0j, 1 + 1j, 2.9j, 0.5 - 2j]:
-            rel = prior_density(tg, beta) / prior_density(disk, beta) - 1.0
+            rel = tg.density(beta) / disk.density(beta) - 1.0
             assert abs(rel) < 1e-6
 
     def test_invalid_parameters(self):
@@ -161,7 +160,7 @@ class TestPriorFamily:
         r = np.linspace(0.0, 8.0, 801)
         assert np.array_equal(thin.radial_density(r), member.radial_density(r))
         for beta in (0j, 0.3 - 0.4j, 1.9 + 0.2j, 5j):
-            assert prior_density(thin, beta) == prior_density(member, beta)
+            assert thin.density(beta) == member.density(beta)
         draws = [sample_prior(p, np.random.Generator(np.random.Philox(11)), 4000) for p in (thin, member)]
         assert np.array_equal(draws[0], draws[1])
         for g in (0.0, 0.3, 0.6, 1.0, 1.3):

@@ -13,7 +13,6 @@ from telebound import (
     RadialCurve,
     TruncatedGaussian,
     UniformDisk,
-    auto_spec,
     average_fidelity_quad,
     decomposition_residual,
     disk_gain_fidelity,
@@ -184,7 +183,7 @@ class TestNumericalBehaviour:
         assert abs(refined.value - res.value) <= res.error_estimate
 
     def test_bit_stable_across_repeat_runs(self):
-        spec = auto_spec(UniformDisk(2.0), Gain(0.7))
+        spec = QuadratureSpec()
         a = average_fidelity_quad(UniformDisk(2.0), Gain(0.7), spec)
         b = average_fidelity_quad(UniformDisk(2.0), Gain(0.7), spec)
         assert a.value == b.value
