@@ -9,7 +9,7 @@ Subcommands:
   analyze   certification verdict for a dataset CSV
 
 Exit codes: 0 success (any verdict), 2 input or parse error, 3 numerical
-failure.
+failure or out of memory.
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     except (DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ArithmeticError) as exc:
+    except (ConvergenceError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -11,19 +11,14 @@ decimal-point reals, UTF-8, LF or CRLF line endings (a bare CR also ends a
 line). Text input is decoded once, with errors="surrogateescape", so a byte
 that is not UTF-8 reaches the reader, which names its line.
 
-load_dataset reads a seekable file in up to three tiers, and each gives
-the result of the line reader:
-
-  1. blocks of whole lines, each parsed with one orjson call into
-     preallocated columns. A file takes this path only when its header is
-     the exact line above (after an optional BOM), every record line is
-     three JSON numbers padded with spaces or tabs, every line end is LF or
-     CRLF, no value is an integer 0 (JSON reads -0 as 0, float() as -0.0),
-     and Dataset accepts the values;
-  2. np.loadtxt, for a file the first tier leaves: it also reads +1, .5, 5.,
-     blank lines, a bare CR and Unicode padding;
-  3. the line reader, for a file neither accepts; it names the offending
-     line. A pipe cannot be read twice, so it is read by this tier only.
+load_dataset reads a seekable file with orjson, in blocks of whole lines
+parsed into preallocated columns. A file takes this path only when its
+header is the exact line above (after an optional BOM), every record line
+is three JSON numbers padded with spaces or tabs, every line end is LF or
+CRLF, no value is an integer 0 (JSON reads -0 as 0, float() as -0.0), and
+Dataset accepts the values. Any other file, and a pipe, which cannot be
+read twice, is read by the line reader, which names the offending line.
+Both give the same result.
 
 write_dataset's bytes equal those of a per-row writer joining repr(value).
 It writes CHUNK_SIZE rows at a time: orjson dumps the values of the rows
@@ -34,7 +29,6 @@ line ends in place, and repr formats each other row, spliced in at its line.
 from __future__ import annotations
 
 import codecs
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -176,26 +170,6 @@ def _read_lines(fh) -> Dataset:
     return Dataset(np.array(re), np.array(im), np.array(fid))
 
 
-def _read_bulk(fh) -> Optional[Dataset]:
-    """Parse an open CSV dataset with np.loadtxt, or return None when the
-    header, the record count or any record is not what _read_lines accepts."""
-    try:
-        if _header(fh.readline()) != CSV_HEADER:
-            return None
-        # loadtxt warns on input with no data; that file is _read_lines' error.
-        first = next((line for line in fh if line.strip()), None)
-        if first is None:
-            return None
-        table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
-        if table.shape[1] == 3:
-            # Dataset rejects non-finite amplitudes and fidelities outside
-            # [0, 1]; the copy makes each column contiguous.
-            return Dataset(*table.T.copy())
-    except ValueError:  # an escaped non-UTF-8 byte included
-        pass
-    return None
-
-
 def _parse_block(block: bytes, table: np.ndarray, row: int) -> Optional[int]:
     """Parse whole CSV lines of three JSON numbers each into table[:, row:]
     with one orjson call; return the line count, or None when a line is not
@@ -254,8 +228,8 @@ def _blocks(raw, size: int) -> Iterator[bytes]:
 def _read_fast(raw) -> Optional[Dataset]:
     """Parse a seekable binary CSV dataset a block at a time into one
     preallocated (3, rows) table, or return None when the header or any
-    block is not what _parse_block accepts. A first pass counts the line
-    ends, unless the body fits in one block."""
+    block is not what _parse_block accepts, or there is no record. A first
+    pass counts the line ends."""
     head = raw.readline()
     if head.startswith(codecs.BOM_UTF8):
         head = head[len(codecs.BOM_UTF8):]
@@ -264,22 +238,19 @@ def _read_fast(raw) -> Optional[Dataset]:
     start = raw.tell()
     size = raw.seek(0, os.SEEK_END) - start
     raw.seek(start)
-    if size <= BLOCK_SIZE:
-        blocks = [raw.read(size)]
-        line_ends = blocks[0].count(b"\n")
-    else:
-        line_ends = sum(data.count(b"\n") for data in _pieces(raw, size))
-        raw.seek(start)
-        blocks = _blocks(raw, size)
+    line_ends = sum(data.count(b"\n") for data in _pieces(raw, size))
+    raw.seek(start)
     # One more column for a last line with no line end; each row of the
     # table stays contiguous when the unused column is cut off.
     table = np.empty((3, line_ends + 1))
     row = 0
-    for block in blocks:
+    for block in _blocks(raw, size):
         lines = _parse_block(block, table, row)
         if lines is None:
             return None
         row += lines
+    if row == 0:  # a header and nothing else: the line reader's error
+        return None
     try:
         return Dataset(*table[:, :row])  # finite amplitudes, fidelities in [0, 1]
     except ValueError:
@@ -289,18 +260,15 @@ def _read_fast(raw) -> Optional[Dataset]:
 def load_dataset(path) -> Dataset:
     """Parse a CSV dataset, reporting the offending line on any defect.
 
-    A seekable file is parsed in bulk, by orjson or else by np.loadtxt (see
-    the module docstring); a file neither accepts is read again line by
-    line, which names the offending line. A stream that cannot be read
-    twice, such as a pipe, is read line by line only. Either way a byte that
-    is not UTF-8 is named by its line.
+    A seekable file is parsed in blocks by orjson (see the module
+    docstring); a file it does not accept is read again line by line, which
+    names the offending line. A stream that cannot be read twice, such as a
+    pipe, is read line by line only. Either way a byte that is not UTF-8 is
+    named by its line.
     """
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         if fh.seekable():
             ds = _read_fast(fh.buffer)
-            if ds is None:
-                fh.seek(0)
-                ds = _read_bulk(fh)
             if ds is not None:
                 return ds
             fh.seek(0)

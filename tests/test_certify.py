@@ -32,7 +32,7 @@ from telebound import (
 
 from telebound import certify
 from telebound.core import seeded_stream
-from telebound.data import CHUNK_SIZE, CSV_HEADER, _read_lines
+from telebound.data import BLOCK_SIZE, CHUNK_SIZE, CSV_HEADER, _read_lines
 
 from _oracles import truncated_gain_closed
 
@@ -88,60 +88,60 @@ class TestLoadDataset:
         assert len(ds) == 2
         assert ds.radius == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("text,bulk,fast", [
-        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8\n", True, False, id="lf"),
-        pytest.param(_HEADER.replace("\n", "\r\n") + "0.5,-0.25,0.9\r\n1,0,0.8\r\n", True, False, id="crlf"),
-        pytest.param(_HEADER.replace("\n", "\r") + "0.5,-0.25,0.9\r1,0,0.8\r", True, False, id="bare-cr"),
-        pytest.param(_HEADER + "\n0.5,-0.25,0.9\n\n\n1,0,0.8\n\n", True, False, id="blank-lines"),
-        pytest.param(_HEADER + "  \n0.5,-0.25,0.9\n \t \n1,0,0.8\n", False, False, id="whitespace-lines"),
-        pytest.param(_HEADER + " 0.5 ,  -0.25,0.9  \n", True, True, id="padded-fields"),
-        pytest.param(_HEADER + "\t0.5,-0.25\t,\t0.9\n", True, True, id="tab"),
-        pytest.param(_HEADER + "+1,+0.5,+0.25\n", True, False, id="plus-sign"),
-        pytest.param(_HEADER + ".5,5.,0.5\n", True, False, id="bare-point"),
-        pytest.param(_HEADER + "1_0,0,0.5\n", False, False, id="underscore"),
-        pytest.param(_HEADER + "0,0,0.5\nnan,0,0.5\n", False, False, id="nan-amplitude"),
-        pytest.param(_HEADER + "0,0,nan\n", False, False, id="nan-fidelity"),
-        pytest.param(_HEADER + "0,inf,0.5\n", False, False, id="inf"),
-        pytest.param(_HEADER + "0,0,Infinity\n", False, False, id="Infinity"),
-        pytest.param(_HEADER + "1e,0,0.5\n", False, False, id="bare-exponent"),
-        pytest.param(_HEADER + "1d0,0,0.5\n", False, False, id="fortran-exponent"),
-        pytest.param(_HEADER + "0x1p-1,0,0.5\n", False, False, id="hex-float"),
-        pytest.param(_HEADER + '"1",0,0.5\n', False, False, id="quoted-field"),
-        pytest.param(_HEADER + "# comment\n0,0,0.5\n", False, False, id="comment"),
-        pytest.param(_HEADER + "0,0,0.5,\n", False, False, id="trailing-comma"),
-        pytest.param(_HEADER + "0,,0.5\n", False, False, id="empty-field"),
-        pytest.param(_HEADER + "0,0\n", False, False, id="two-fields"),
-        pytest.param(_HEADER + "0,0,0.5,0.5\n1,1,0.5,0.5\n", False, False, id="four-fields"),
-        pytest.param(_HEADER + "0,0,0.5\n1,1,1.2\n", False, False, id="fidelity-above-one"),
-        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8", True, False, id="no-final-newline"),
-        pytest.param("\ufeff" + _HEADER + "0.5,-0.25,0.9\n", True, True, id="utf8-bom"),
-        pytest.param(_HEADER + "0,0,-0.0\n", True, False, id="negative-zero-fidelity"),
-        pytest.param(_HEADER + "1,2\x0c,0.5\n3\x85,4,0.5\n", True, False, id="form-feed-and-nel"),
-        pytest.param(_HEADER + "\uff11,0,0.5\n", False, False, id="fullwidth-digit"),
-        pytest.param("x,y,f\n0,0,1\n", False, False, id="wrong-header"),
-        pytest.param(_HEADER + "\n \n", False, False, id="header-then-blank"),
-        pytest.param("", False, False, id="empty-file"),
+    @pytest.mark.parametrize("text,fast", [
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8\n", False, id="lf"),
+        pytest.param(_HEADER.replace("\n", "\r\n") + "0.5,-0.25,0.9\r\n1,0,0.8\r\n", False, id="crlf"),
+        pytest.param(_HEADER.replace("\n", "\r") + "0.5,-0.25,0.9\r1,0,0.8\r", False, id="bare-cr"),
+        pytest.param(_HEADER + "\n0.5,-0.25,0.9\n\n\n1,0,0.8\n\n", False, id="blank-lines"),
+        pytest.param(_HEADER + "  \n0.5,-0.25,0.9\n \t \n1,0,0.8\n", False, id="whitespace-lines"),
+        pytest.param(_HEADER + " 0.5 ,  -0.25,0.9  \n", True, id="padded-fields"),
+        pytest.param(_HEADER + "\t0.5,-0.25\t,\t0.9\n", True, id="tab"),
+        pytest.param(_HEADER + "+1,+0.5,+0.25\n", False, id="plus-sign"),
+        pytest.param(_HEADER + ".5,5.,0.5\n", False, id="bare-point"),
+        pytest.param(_HEADER + "1_0,0,0.5\n", False, id="underscore"),
+        pytest.param(_HEADER + "0,0,0.5\nnan,0,0.5\n", False, id="nan-amplitude"),
+        pytest.param(_HEADER + "0,0,nan\n", False, id="nan-fidelity"),
+        pytest.param(_HEADER + "0,inf,0.5\n", False, id="inf"),
+        pytest.param(_HEADER + "0,0,Infinity\n", False, id="Infinity"),
+        pytest.param(_HEADER + "1e,0,0.5\n", False, id="bare-exponent"),
+        pytest.param(_HEADER + "1d0,0,0.5\n", False, id="fortran-exponent"),
+        pytest.param(_HEADER + "0x1p-1,0,0.5\n", False, id="hex-float"),
+        pytest.param(_HEADER + '"1",0,0.5\n', False, id="quoted-field"),
+        pytest.param(_HEADER + "# comment\n0,0,0.5\n", False, id="comment"),
+        pytest.param(_HEADER + "0,0,0.5,\n", False, id="trailing-comma"),
+        pytest.param(_HEADER + "0,,0.5\n", False, id="empty-field"),
+        pytest.param(_HEADER + "0,0\n", False, id="two-fields"),
+        pytest.param(_HEADER + "0,0,0.5,0.5\n1,1,0.5,0.5\n", False, id="four-fields"),
+        pytest.param(_HEADER + "0,0,0.5\n1,1,1.2\n", False, id="fidelity-above-one"),
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1,0,0.8", False, id="no-final-newline"),
+        pytest.param("\ufeff" + _HEADER + "0.5,-0.25,0.9\n", True, id="utf8-bom"),
+        pytest.param(_HEADER + "0,0,-0.0\n", False, id="negative-zero-fidelity"),
+        pytest.param(_HEADER + "1,2\x0c,0.5\n3\x85,4,0.5\n", False, id="form-feed-and-nel"),
+        pytest.param(_HEADER + "\uff11,0,0.5\n", False, id="fullwidth-digit"),
+        pytest.param("x,y,f\n0,0,1\n", False, id="wrong-header"),
+        pytest.param(_HEADER + "\n \n", False, id="header-then-blank"),
+        pytest.param("", False, id="empty-file"),
         # A bytes input is written as is: here the 0xff sits on line 3, past
         # CR and CRLF line ends.
-        pytest.param(_HEADER.encode() + b"0,0,0.5\r\n1,1,0.5\r0.\xff5,0,0.5\n", False, False, id="non-utf8"),
+        pytest.param(_HEADER.encode() + b"0,0,0.5\r\n1,1,0.5\r0.\xff5,0,0.5\n", False, id="non-utf8"),
         # The orjson fast path: JSON values that float() does not read, JSON
         # numbers that it reads differently, and a CR that JSON takes as space.
-        pytest.param(_HEADER + "true,0.5,0.5\n", False, False, id="json-true"),
-        pytest.param(_HEADER + "0.5,null,0.5\n", False, False, id="json-null"),
-        pytest.param(_HEADER + "-0,0.5,0.5\n", True, False, id="integer-negative-zero"),
-        pytest.param(_HEADER + "1e400,0,0.5\n", False, False, id="1e400"),
-        pytest.param(_HEADER + "1234567890123456789012345,0.5,0.5\n", True, False, id="25-digit-integer"),
-        pytest.param(_HEADER + "0.5,0.5,\r0.5\n", False, False, id="cr-inside-line"),
-        pytest.param(_HEADER + "[1],0,0.5\n", False, False, id="json-array"),
-        pytest.param(_HEADER + "0.5,0.5,0.5,0.5\n0.5,0.5\n", False, False, id="fields-across-lines"),
+        pytest.param(_HEADER + "true,0.5,0.5\n", False, id="json-true"),
+        pytest.param(_HEADER + "0.5,null,0.5\n", False, id="json-null"),
+        pytest.param(_HEADER + "-0,0.5,0.5\n", False, id="integer-negative-zero"),
+        pytest.param(_HEADER + "1e400,0,0.5\n", False, id="1e400"),
+        pytest.param(_HEADER + "1234567890123456789012345,0.5,0.5\n", False, id="25-digit-integer"),
+        pytest.param(_HEADER + "0.5,0.5,\r0.5\n", False, id="cr-inside-line"),
+        pytest.param(_HEADER + "[1],0,0.5\n", False, id="json-array"),
+        pytest.param(_HEADER + "0.5,0.5,0.5,0.5\n0.5,0.5\n", False, id="fields-across-lines"),
         # The writer writes no integer token; files that hold one only as a
         # nonzero value keep the fast path, and an integer 0 leaves it.
-        pytest.param(_HEADER + "0.5,-0.25,0.9\n1.0,0.0,0.8\n", True, True, id="lf-float"),
-        pytest.param(_HEADER.replace("\n", "\r\n") + "0.5,-0.25,0.9\r\n1.0,0.0,0.8\r\n", True, True,
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1.0,0.0,0.8\n", True, id="lf-float"),
+        pytest.param(_HEADER.replace("\n", "\r\n") + "0.5,-0.25,0.9\r\n1.0,0.0,0.8\r\n", True,
                      id="crlf-float"),
-        pytest.param(_HEADER + "0.5,-0.25,0.9\n1.0,0.0,0.8", True, True, id="no-final-newline-float"),
+        pytest.param(_HEADER + "0.5,-0.25,0.9\n1.0,0.0,0.8", True, id="no-final-newline-float"),
     ])
-    def test_bulk_parse_matches_line_reader(self, tmp_path, monkeypatch, text, bulk, fast):
+    def test_bulk_parse_matches_line_reader(self, tmp_path, monkeypatch, text, fast):
         path = tmp_path / "ds.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
@@ -149,12 +149,9 @@ class TestLoadDataset:
                 expected = _read_lines(fh)
             except DatasetFormatError as exc:
                 expected = exc
-        if bulk:
+        if fast:
             # These files must not need the per-line reader at all.
             monkeypatch.setattr("telebound.data._read_lines", None)
-        if fast:
-            # Nor these the loadtxt parse.
-            monkeypatch.setattr("telebound.data._read_bulk", None)
         try:
             got = load_dataset(path)
         except DatasetFormatError as exc:
@@ -231,21 +228,82 @@ class TestLoadDataset:
         write_dataset(path, Dataset(re_, im, fid))
         return Dataset(re_, im, fid), path
 
+    @staticmethod
+    def _write_body(tmp_path, size):
+        """A written dataset whose lines after the header take `size` bytes:
+        rows of 12 bytes, the first lengthened by size % 12 digits."""
+        fid = np.full(size // 12, 0.5)
+        fid[0] = 2.0 ** -(1 + size % 12)  # repr has 3 + size % 12 characters
+        ds = Dataset(np.full_like(fid, 0.5), np.full_like(fid, 0.5), fid)
+        path = tmp_path / f"body-{size}.csv"
+        write_dataset(path, ds)
+        assert path.stat().st_size == len(_HEADER) + size
+        return ds, path
+
     @pytest.mark.parametrize("block_size", [40, 97])
     def test_fast_path_across_blocks(self, tmp_path, monkeypatch, block_size):
         # Blocks shorter than a row, and of one or two rows: every read ends
-        # inside a row, which the next block must complete.
+        # inside a row, which the next block must complete. A one-record
+        # file, and bodies one byte short of a block, of one block and one
+        # byte past it, are read by the same count pass and blocks.
         ds, path = self._write_special(tmp_path)
         cut = tmp_path / "no-final-newline.csv"
         cut.write_bytes(path.read_bytes()[:-1])
+        one = Dataset([0.25], [-1.125], [0.58])
+        write_dataset(tmp_path / "one.csv", one)
+        cases = [(ds, path), (ds, cut), (one, tmp_path / "one.csv")]
+        cases += [self._write_body(tmp_path, block_size + d) for d in (-1, 0, 1)]
         monkeypatch.setattr("telebound.data.BLOCK_SIZE", block_size)
-        monkeypatch.setattr("telebound.data._read_bulk", None)
         monkeypatch.setattr("telebound.data._read_lines", None)
-        for p in (path, cut):
+        for written, p in cases:
             back = load_dataset(p)
             for column in ("beta_re", "beta_im", "fidelity"):
-                a, b = getattr(back, column), getattr(ds, column)
+                a, b = getattr(back, column), getattr(written, column)
                 assert a.tobytes() == b.tobytes() and a.flags.c_contiguous
+
+    def test_random_files_match_line_reader(self, tmp_path, monkeypatch):
+        # Small files of tokens that the two readers treat differently, cut
+        # into blocks of 1 to 40 bytes or the default: load_dataset must give
+        # the line reader's columns or its message. Most fields come from
+        # the tokens the orjson path reads, so about a fifth of the files
+        # stay on it, a fifth load line by line and the rest are rejected.
+        rng = np.random.default_rng(15)
+        tokens = ["0", "-0", "0.5", "-0.25", "1", "1e-5", "-1E+2", "+1", ".5", "5.", " 0.5",
+                  "\t-0.25 ", "nan", "inf", "1e400", "true", "", "-0.0", "1_0"]
+        amplitudes = ["0.5", "-0.25", "1", "1e-5", "-1E+2", " 0.5", "\t-0.25 ", "-0.0"]
+        fidelities = ["0.5", "1", "1e-5", " 0.5", "-0.0"]
+        ends = ["\n", "\r\n", "\r"]
+
+        def field(column):
+            pool = tokens if rng.random() < 0.1 else fidelities if column == 2 else amplitudes
+            return pool[rng.integers(len(pool))]
+
+        def end():
+            return ends[rng.choice(3, p=[0.5, 0.45, 0.05])]
+
+        path = tmp_path / "ds.csv"
+        for _ in range(500):
+            text = _HEADER.replace("\n", end())
+            for _ in range(rng.integers(0, 7)):
+                width = rng.choice([0, 2, 3, 4], p=[0.1, 0.05, 0.8, 0.05])
+                text += ",".join(field(i % 3) for i in range(width)) + end()
+            if rng.random() < 0.25:
+                text = text.rstrip("\r\n")
+            path.write_bytes(text.encode())
+            with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+                try:
+                    expected = _read_lines(fh)
+                except DatasetFormatError as exc:
+                    expected = exc
+            monkeypatch.setattr("telebound.data.BLOCK_SIZE", int(rng.choice([1, 5, 13, 40, BLOCK_SIZE])))
+            try:
+                got = load_dataset(path)
+            except DatasetFormatError as exc:
+                assert str(exc) == str(expected), text
+                continue
+            assert isinstance(expected, Dataset), text
+            for column in ("beta_re", "beta_im", "fidelity"):
+                assert getattr(got, column).tobytes() == getattr(expected, column).tobytes(), text
 
     @pytest.mark.parametrize("row,bad,message", [
         pytest.param(500, "1.5", "line 502: fidelity 1.5 outside [0, 1]", id="middle-block"),
@@ -284,7 +342,6 @@ class TestLoadDataset:
         if block_size is not None:
             monkeypatch.setattr("telebound.data.BLOCK_SIZE", block_size)
         if line_end == "crlf":
-            monkeypatch.setattr("telebound.data._read_bulk", None)
             monkeypatch.setattr("telebound.data._read_lines", None)
         got = load_dataset(path)
         for column in ("beta_re", "beta_im", "fidelity"):
@@ -292,8 +349,8 @@ class TestLoadDataset:
             assert a.tobytes() == b.tobytes() == getattr(ds, column).tobytes()
 
     def test_load_peak_memory(self, tmp_path):
-        # The columns are filled in place, a block at a time; loadtxt's table
-        # and its transposed copy took about 2.1x the columns.
+        # The columns are filled in place, a block at a time, so the peak is
+        # the columns and one block's copies.
         rng = np.random.default_rng(6)
         n = 262_144
         path = tmp_path / "big.csv"

@@ -80,6 +80,17 @@ class TestQuad:
         assert code == 0
         assert float(kv(out)["value"]) == pytest.approx(0.8, abs=1e-9)
 
+    def test_out_of_memory_is_numerical_failure(self, capsys, monkeypatch):
+        # A huge grid, such as truncgauss:1e-300,1e10, fails to allocate;
+        # raised here instead, so that no test allocates it.
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, "average_fidelity_quad", fail)
+        code, out, err = run(capsys, "quad", "--prior", "truncgauss:1e-300,1e10", "--gain", "0.5")
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: Unable to allocate 74.5 GiB for an array\n"
+
     def test_curve_file(self, capsys, tmp_path):
         path = tmp_path / "curve.txt"
         path.write_text("# radius, guess radius\n0, 0\n1, 0.45\n3.0 0.9\n")
