@@ -61,7 +61,7 @@ def _load_curve(path: str) -> RadialCurve:
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = fh.readlines()
     for line_no, line in enumerate(lines, start=1):
-        reason = utf8_error(line)
+        reason = utf8_error(line.encode("utf-8", "surrogateescape"))  # the escape is lossless
         if reason is not None:
             raise ValueError(f"{path}:{line_no}: not valid UTF-8 ({reason})")
     nodes = []

@@ -8,17 +8,18 @@ measured for it. The on-disk format is a plain CSV file:
     ...
 
 decimal-point reals, UTF-8, LF or CRLF line endings (a bare CR also ends a
-line). Text input is decoded once, with errors="surrogateescape", so a byte
-that is not UTF-8 reaches the reader, which names its line.
+line).
 
-load_dataset reads a seekable file with orjson, in blocks of whole lines
-parsed into preallocated columns. A file takes this path only when its
-header is the exact line above (after an optional BOM), every record line
-is three JSON numbers padded with spaces or tabs, every line end is LF or
-CRLF, no value is an integer 0 (JSON reads -0 as 0, float() as -0.0), and
-Dataset accepts the values. Any other file, and a pipe, which cannot be
-read twice, is read by the line reader, which names the offending line.
-Both give the same result.
+load_dataset reads a file or a pipe once, in blocks of whole lines, and
+parses each block with one orjson call into three columns. A block whose
+every line is three JSON numbers padded with spaces or tabs, ending in LF
+or CRLF, with no integer 0 (JSON reads -0 as 0, float() as -0.0) and values
+that Dataset accepts, stays with orjson. Any other block is parsed line by
+line, which names the offending line, and the next block goes to orjson
+again. Both give the same values. The columns are sized from the file size
+and the first block's bytes per line, grown in place when that falls short
+(a pipe reports size 0) and trimmed at the end. A byte that is not UTF-8 is
+named by its line, before any other defect in the file.
 
 write_dataset's bytes equal those of a per-row writer joining repr(value).
 It writes CHUNK_SIZE rows at a time: orjson dumps the values of the rows
@@ -31,12 +32,12 @@ from __future__ import annotations
 import codecs
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Iterator, NoReturn, Optional
 
 import numpy as np
 
-__all__ = ["DatasetRecord", "Dataset", "DatasetFormatError", "load_dataset", "write_dataset"]
+__all__ = ["Dataset", "DatasetFormatError", "load_dataset", "write_dataset"]
 
 CSV_HEADER = ("beta_re", "beta_im", "fidelity")
 
@@ -45,15 +46,13 @@ CSV_HEADER = ("beta_re", "beta_im", "fidelity")
 # at 4,096 to 16,384 rows a chunk, and longer at 32,768 and above.
 CHUNK_SIZE = 8_192
 
-# load_dataset's fast path parses the file this many bytes at a time. A
+# load_dataset reads and parses the file this many bytes at a time. A
 # block's copies and its list of floats take about six times its size while
 # it is parsed, so small blocks keep that a small share of the columns'
 # memory; blocks of 1 MiB were no faster.
 BLOCK_SIZE = 1 << 16
 
-_HEADER_LINES = tuple(",".join(CSV_HEADER).encode() + end for end in (b"\n", b"\r\n"))
-
-# The bytes a field may hold on the fast path: a JSON number and its
+# The bytes a field may hold on the orjson path: a JSON number and its
 # padding. JSON alone would also accept true, false, null, strings and
 # brackets, which float() does not.
 _FIELD_BYTES = b"0123456789.eE+- \t"
@@ -63,17 +62,9 @@ class DatasetFormatError(ValueError):
     """A dataset file that cannot be parsed or violates record invariants."""
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
-    beta_re: float
-    beta_im: float
-    fidelity: float
-
-
 class Dataset:
     """Column-wise container of records, spending memory on three float
-    arrays instead of a million small objects. Behaves as a sequence of
-    DatasetRecord."""
+    arrays instead of a million small objects."""
 
     def __init__(self, beta_re, beta_im, fidelity):
         self.beta_re = np.asarray(beta_re, dtype=float)
@@ -88,13 +79,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.beta_re.size
-
-    def __getitem__(self, i: int) -> DatasetRecord:
-        return DatasetRecord(float(self.beta_re[i]), float(self.beta_im[i]), float(self.fidelity[i]))
-
-    def __iter__(self) -> Iterator[DatasetRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def beta(self) -> np.ndarray:
@@ -118,62 +102,51 @@ def _parse_field(raw: str, column: str, line_no: int) -> float:
     return value
 
 
-def _header(line: str) -> tuple:
-    return tuple(part.strip() for part in line.split(","))
-
-
-def utf8_error(line: str) -> Optional[str]:
-    """The codec's reason why a line read with errors="surrogateescape" is
-    not UTF-8, or None when it is. The escape is lossless, so the line
-    re-encodes to its exact bytes; no UTF-8 sequence holds a CR or LF byte,
-    so a line that keeps its line end gives the reason a strict decode of
-    the whole file gives."""
+def utf8_error(data: bytes) -> Optional[str]:
+    """The codec's reason why data is not UTF-8, or None when it is. No
+    UTF-8 sequence holds a CR or LF byte, so a line that keeps its line end
+    gives the reason a strict decode of the whole file gives."""
     try:
-        line.encode("utf-8", "surrogateescape").decode("utf-8")
+        data.decode("utf-8")
     except UnicodeError as exc:
         return exc.reason
     return None
 
 
-def _read_lines(fh) -> Dataset:
-    """Parse an open CSV dataset line by line, naming the first offending
-    line. Lines end where the file object splits them: LF, CRLF or CR. A
-    byte that is not UTF-8 is reported before any other defect."""
-    lines = []
-    for line_no, line in enumerate(fh, start=1):
+def _check_utf8(block: bytes, line_no: int) -> None:
+    """Raise naming the first line of block, counted from line_no, that is not UTF-8."""
+    if utf8_error(block) is None:
+        return
+    for n, line in enumerate(block.splitlines(keepends=True), start=line_no):
         reason = utf8_error(line)
         if reason is not None:
-            raise DatasetFormatError(f"line {line_no}: not valid UTF-8 ({reason})")
-        lines.append(line.rstrip("\r\n"))
-    if not lines:
-        raise DatasetFormatError("empty file: expected a header line")
-    if _header(lines[0]) != CSV_HEADER:
-        raise DatasetFormatError(
-            f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0]!r}")
-    re, im, fid = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+            raise DatasetFormatError(f"line {n}: not valid UTF-8 ({reason})")
+
+
+def _parse_lines(lines: list, line_no: int) -> np.ndarray:
+    """Parse UTF-8 record lines without their line ends, counted from
+    line_no, into a (rows, 3) array; skip blank lines and name the first
+    offending line."""
+    values = []
+    for n, line in enumerate(lines, start=line_no):
+        text = line.decode()
+        if not text.strip():
             continue
-        parts = line.split(",")
+        parts = text.split(",")
         if len(parts) != 3:
-            raise DatasetFormatError(f"line {line_no}: expected 3 fields, got {len(parts)}")
-        b_re = _parse_field(parts[0], "beta_re", line_no)
-        b_im = _parse_field(parts[1], "beta_im", line_no)
-        f = _parse_field(parts[2], "fidelity", line_no)
+            raise DatasetFormatError(f"line {n}: expected 3 fields, got {len(parts)}")
+        b_re, b_im, f = (_parse_field(raw, column, n) for raw, column in zip(parts, CSV_HEADER))
         if not (0.0 <= f <= 1.0):
-            raise DatasetFormatError(f"line {line_no}: fidelity {f} outside [0, 1]")
-        re.append(b_re)
-        im.append(b_im)
-        fid.append(f)
-    if not re:
-        raise DatasetFormatError("dataset has a header but no records")
-    return Dataset(np.array(re), np.array(im), np.array(fid))
+            raise DatasetFormatError(f"line {n}: fidelity {f} outside [0, 1]")
+        values += (b_re, b_im, f)
+    return np.array(values, dtype=float).reshape(-1, 3)
 
 
-def _parse_block(block: bytes, table: np.ndarray, row: int) -> Optional[int]:
-    """Parse whole CSV lines of three JSON numbers each into table[:, row:]
-    with one orjson call; return the line count, or None when a line is not
-    three numbers that float() reads to the same double."""
+def _parse_block(block: bytes) -> Optional[np.ndarray]:
+    """Parse whole CSV lines of three JSON numbers each with one orjson
+    call into a (lines, 3) array, or return None when a line is not three
+    numbers that float() reads to the same double, or holds values that
+    Dataset rejects."""
     import orjson  # here, not at module level: `import telebound` stays lean
 
     if b"\r" in block:  # a byte scan, far cheaper than searching for CRLF
@@ -182,10 +155,10 @@ def _parse_block(block: bytes, table: np.ndarray, row: int) -> Optional[int]:
         block += b"\n"
     # Without its field bytes, each line must be exactly ",,\n". Any other
     # byte is left over and fails the comparison: a bare CR, which ends a
-    # line in text mode but is space to JSON, and any non-ASCII byte.
+    # line in CSV but is space to JSON, and any non-ASCII byte.
     separators = block.translate(None, _FIELD_BYTES)
     lines = len(separators) // 3
-    if separators != b",,\n" * lines or row + lines > table.shape[1]:
+    if separators != b",,\n" * lines:
         return None
     try:
         values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
@@ -197,27 +170,22 @@ def _parse_block(block: bytes, table: np.ndarray, row: int) -> Optional[int]:
     # JSON's -0 is the integer 0, where float("-0") is -0.0.
     if any(type(values[i]) is int for i in np.flatnonzero(parsed == 0.0).tolist()):
         return None
-    table[:, row:row + lines] = parsed.reshape(lines, 3).T
-    return lines
+    rows = parsed.reshape(lines, 3)
+    fidelity = rows[:, 2]
+    if not (np.isfinite(rows).all() and ((fidelity >= 0.0) & (fidelity <= 1.0)).all()):
+        return None
+    return rows
 
 
-def _pieces(raw, size: int) -> Iterator[bytes]:
-    """The next `size` bytes of raw, BLOCK_SIZE bytes at a time."""
-    while size > 0:
-        data = raw.read(min(BLOCK_SIZE, size))
-        if not data:
-            return
-        size -= len(data)
-        yield data
-
-
-def _blocks(raw, size: int) -> Iterator[bytes]:
-    """The next `size` bytes of raw, in blocks of about BLOCK_SIZE bytes cut
-    after a line end (the last block ends where the bytes do)."""
+def _blocks(raw) -> Iterator[bytes]:
+    """raw's bytes in blocks of about BLOCK_SIZE bytes, each cut after a
+    line end; the last block ends where the bytes do. A block ends in a
+    bare CR only once the byte after it is known not to be LF, so no block
+    splits a CRLF."""
     carry = b""
-    for data in _pieces(raw, size):
+    while data := raw.read(BLOCK_SIZE):
         data = carry + data
-        cut = data.rfind(b"\n") + 1
+        cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, len(data) - 1) + 1
         if cut:
             yield data[:cut]
         carry = data[cut:]
@@ -225,54 +193,72 @@ def _blocks(raw, size: int) -> Iterator[bytes]:
         yield carry
 
 
-def _read_fast(raw) -> Optional[Dataset]:
-    """Parse a seekable binary CSV dataset a block at a time into one
-    preallocated (3, rows) table, or return None when the header or any
-    block is not what _parse_block accepts, or there is no record. A first
-    pass counts the line ends."""
-    head = raw.readline()
-    if head.startswith(codecs.BOM_UTF8):
-        head = head[len(codecs.BOM_UTF8):]
-    if head not in _HEADER_LINES:
-        return None
-    start = raw.tell()
-    size = raw.seek(0, os.SEEK_END) - start
-    raw.seek(start)
-    line_ends = sum(data.count(b"\n") for data in _pieces(raw, size))
-    raw.seek(start)
-    # One more column for a last line with no line end; each row of the
-    # table stays contiguous when the unused column is cut off.
-    table = np.empty((3, line_ends + 1))
-    row = 0
-    for block in _blocks(raw, size):
-        lines = _parse_block(block, table, row)
-        if lines is None:
-            return None
-        row += lines
-    if row == 0:  # a header and nothing else: the line reader's error
-        return None
-    try:
-        return Dataset(*table[:, :row])  # finite amplitudes, fidelities in [0, 1]
-    except ValueError:
-        return None
+def _fail(error: DatasetFormatError, blocks: Iterator[bytes], line_no: int) -> NoReturn:
+    """Raise error, unless a byte in the remaining blocks, whose lines are
+    counted from line_no, is not UTF-8: that is reported instead, as a bad
+    byte anywhere in the file is reported before any other defect."""
+    for block in blocks:
+        _check_utf8(block, line_no)
+        line_no += len(block.splitlines())
+    raise error
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a CSV dataset, reporting the offending line on any defect.
-
-    A seekable file is parsed in blocks by orjson (see the module
-    docstring); a file it does not accept is read again line by line, which
-    names the offending line. A stream that cannot be read twice, such as a
-    pipe, is read line by line only. Either way a byte that is not UTF-8 is
-    named by its line.
-    """
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        if fh.seekable():
-            ds = _read_fast(fh.buffer)
-            if ds is not None:
-                return ds
-            fh.seek(0)
-        return _read_lines(fh)
+    """Parse a CSV dataset from a path or a file descriptor, such as a
+    pipe's, reading it once, a block at a time (see the module docstring).
+    Any defect is reported with the line it sits on; a byte that is not
+    UTF-8 is reported before any other defect in the file."""
+    with open(path, "rb") as raw:
+        size = os.fstat(raw.fileno()).st_size
+        blocks = _blocks(raw)
+        first = next(blocks, b"")
+        bom = len(codecs.BOM_UTF8) if first.startswith(codecs.BOM_UTF8) else 0
+        if len(first) == bom:
+            raise DatasetFormatError("empty file: expected a header line")
+        consumed = len(first.splitlines(keepends=True)[0])
+        _check_utf8(first[bom:consumed], 1)
+        header = first[bom:consumed].decode().rstrip("\r\n")
+        body = chain((first[consumed:],) if consumed < len(first) else (), blocks)
+        if tuple(part.strip() for part in header.split(",")) != CSV_HEADER:
+            _fail(DatasetFormatError(
+                f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}"), body, 2)
+        columns, row, line_no = [np.empty(0) for _ in CSV_HEADER], 0, 2
+        for block in body:
+            consumed += len(block)
+            parsed = _parse_block(block)
+            if parsed is None:
+                _check_utf8(block, line_no)
+                lines = block.splitlines()
+                try:
+                    parsed = _parse_lines(lines, line_no)
+                except DatasetFormatError as exc:
+                    _fail(exc, body, line_no + len(lines))
+                line_no += len(lines)
+            else:
+                line_no += len(parsed)
+            end = row + len(parsed)
+            if end > columns[0].size:
+                # The file's rows at the bytes per row so far, or a quarter
+                # more when its size is unknown (a pipe reports 0) or passed.
+                capacity = end * (size if size >= consumed else consumed + consumed // 4) // consumed
+                capacity += capacity // 64 + 1
+                if row:
+                    for column in columns:
+                        column.resize(capacity, refcheck=False)  # keeps the rows
+                else:
+                    # resize zero-fills what it adds; np.empty leaves the
+                    # pages of an overestimate untouched.
+                    columns = [np.empty(capacity) for _ in CSV_HEADER]
+            for column, values in zip(columns, parsed.T):
+                column[row:end] = values
+            row = end
+    if row == 0:
+        raise DatasetFormatError("dataset has a header but no records")
+    # A tail under a 4 KiB page frees no memory; realloc would only leave a heap fragment.
+    if columns[0].size - row >= 512:
+        for column in columns:
+            column.resize(row, refcheck=False)
+    return Dataset(*(column[:row] for column in columns))
 
 
 def _format_rows(block: np.ndarray) -> bytes:

@@ -158,13 +158,25 @@ def _leggauss(n: int):
     return x, w
 
 
-def _panel_rule(lo: float, hi: float, width: float, nodes: int, breaks=()):
+def _panel_rule(lo: float, hi: float, spec: QuadratureSpec, nodes: int, breaks=()):
     """Composite Gauss-Legendre rule on [lo, hi] with panels of at most
-    `width`, additionally split at each of `breaks` so kinks (for example
-    the nodes of a tabulated guess curve) never sit inside a panel."""
+    spec.panel_width, additionally split at each of `breaks` so kinks (for
+    example the nodes of a tabulated guess curve) never sit inside a panel.
+    Before allocating, a span that needs more panels than the alpha range of
+    the flattest whole-plane Gaussian admitted (lam = GAUSSIAN_LAMBDA_FLOOR)
+    at the same spec raises ValueError."""
     span = hi - lo
     if span <= 0.0:
         return np.empty(0), np.empty(0)
+    width = spec.panel_width
+    panels = math.ceil(span / width)
+    floor_cut = _alpha_cut(replace(spec, outer_cut_radius=None),
+                           GaussianIso(GAUSSIAN_LAMBDA_FLOOR).support_radius(spec.truncation_tol / 2.0))
+    budget = math.ceil(floor_cut / width)
+    if panels > budget:
+        raise ValueError(
+            f"radial span {span:g} needs {panels} panels of width {width:g}, over the budget of "
+            f"{budget}: the alpha range of a whole-plane Gaussian at lam = {GAUSSIAN_LAMBDA_FLOOR:g}")
     cuts = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
     edges = []
     for seg_lo, seg_hi in zip(cuts, cuts[1:]):
@@ -350,7 +362,7 @@ class BetaRule:
         self.spec = spec
         self.nodes = spec.radial_nodes * mult
         self.a_hi = _alpha_cut(spec, b_hi)
-        b, b_w = _panel_rule(b_lo, b_hi, spec.panel_width, self.nodes)
+        b, b_w = _panel_rule(b_lo, b_hi, spec, self.nodes)
         self.b = b
         self.b_weight = b_w * b * radial_weight(b)
 
@@ -364,7 +376,7 @@ class BetaRule:
         return 2.0 * sums.reshape(a.shape)
 
     def average(self, strategy: Strategy) -> float:
-        a, a_w = _panel_rule(0.0, self.a_hi, self.spec.panel_width, self.nodes,
+        a, a_w = _panel_rule(0.0, self.a_hi, self.spec, self.nodes,
                              breaks=_strategy_breaks(strategy))
         if a.size == 0 or self.b.size == 0:
             return 0.0

@@ -4,11 +4,18 @@ Everything here deliberately avoids the library's own quadrature and
 optimization code paths: scipy adaptive quadrature over the Bessel-collapsed
 integrand, dense grid search, and hand-derived closed forms re-stated
 locally. Values frozen into the tests were produced by these oracles.
+The CSV reference is the whole-file line reader that load_dataset's block
+reader replaced.
 """
+
+import math
+from typing import Optional
 
 import numpy as np
 from scipy import integrate
 from scipy.special import i0e
+
+from telebound.data import CSV_HEADER, Dataset, DatasetFormatError
 
 
 def avg_fidelity_scipy(radial_density, b_hi, rho_of_a, a_hi):
@@ -94,3 +101,65 @@ DISK_CURVE_IDEAL = {
     2.0: 0.616251804,
     3.0: 0.574131940,
 }
+
+
+def _parse_field(raw: str, column: str, line_no: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise DatasetFormatError(f"line {line_no}: {column} is not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise DatasetFormatError(f"line {line_no}: {column} must be finite, got {raw!r}")
+    return value
+
+
+def _header(line: str) -> tuple:
+    return tuple(part.strip() for part in line.split(","))
+
+
+def utf8_error(line: str) -> Optional[str]:
+    """The codec's reason why a line read with errors="surrogateescape" is
+    not UTF-8, or None when it is. The escape is lossless, so the line
+    re-encodes to its exact bytes; no UTF-8 sequence holds a CR or LF byte,
+    so a line that keeps its line end gives the reason a strict decode of
+    the whole file gives."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError as exc:
+        return exc.reason
+    return None
+
+
+def _read_lines(fh) -> Dataset:
+    """Parse an open CSV dataset line by line, naming the first offending
+    line. Lines end where the file object splits them: LF, CRLF or CR. A
+    byte that is not UTF-8 is reported before any other defect."""
+    lines = []
+    for line_no, line in enumerate(fh, start=1):
+        reason = utf8_error(line)
+        if reason is not None:
+            raise DatasetFormatError(f"line {line_no}: not valid UTF-8 ({reason})")
+        lines.append(line.rstrip("\r\n"))
+    if not lines:
+        raise DatasetFormatError("empty file: expected a header line")
+    if _header(lines[0]) != CSV_HEADER:
+        raise DatasetFormatError(
+            f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0]!r}")
+    re, im, fid = [], [], []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DatasetFormatError(f"line {line_no}: expected 3 fields, got {len(parts)}")
+        b_re = _parse_field(parts[0], "beta_re", line_no)
+        b_im = _parse_field(parts[1], "beta_im", line_no)
+        f = _parse_field(parts[2], "fidelity", line_no)
+        if not (0.0 <= f <= 1.0):
+            raise DatasetFormatError(f"line {line_no}: fidelity {f} outside [0, 1]")
+        re.append(b_re)
+        im.append(b_im)
+        fid.append(f)
+    if not re:
+        raise DatasetFormatError("dataset has a header but no records")
+    return Dataset(np.array(re), np.array(im), np.array(fid))

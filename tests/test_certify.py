@@ -17,7 +17,6 @@ from telebound import (
     Constant,
     Dataset,
     DatasetFormatError,
-    DatasetRecord,
     INCONCLUSIVE,
     NONCLASSICAL,
     Report,
@@ -32,9 +31,9 @@ from telebound import (
 
 from telebound import certify
 from telebound.core import seeded_stream
-from telebound.data import BLOCK_SIZE, CHUNK_SIZE, CSV_HEADER, _read_lines
+from telebound.data import BLOCK_SIZE, CHUNK_SIZE, CSV_HEADER
 
-from _oracles import truncated_gain_closed
+from _oracles import _read_lines, truncated_gain_closed
 
 
 _HEADER = "beta_re,beta_im,fidelity\n"
@@ -49,8 +48,7 @@ def _write(tmp_path, text, name="ds.csv"):
 class TestLoadDataset:
     def test_single_record_at_origin(self, tmp_path):
         ds = load_dataset(_write(tmp_path, "beta_re,beta_im,fidelity\n0,0,1\n"))
-        assert len(ds) == 1
-        assert ds[0] == DatasetRecord(0.0, 0.0, 1.0)
+        assert (ds.beta_re.tolist(), ds.beta_im.tolist(), ds.fidelity.tolist()) == ([0.0], [0.0], [1.0])
         assert ds.radius == 0.0
 
     def test_header_only_rejected(self, tmp_path):
@@ -124,6 +122,10 @@ class TestLoadDataset:
         # A bytes input is written as is: here the 0xff sits on line 3, past
         # CR and CRLF line ends.
         pytest.param(_HEADER.encode() + b"0,0,0.5\r\n1,1,0.5\r0.\xff5,0,0.5\n", False, id="non-utf8"),
+        # A format defect on line 2 and a bad byte on line 4: the bad byte
+        # is reported.
+        pytest.param(_HEADER.encode() + b"0,oops,0.5\n1,1,0.5\n0.\xff5,0,0.5\n", False,
+                     id="format-error-then-non-utf8"),
         # The orjson fast path: JSON values that float() does not read, JSON
         # numbers that it reads differently, and a CR that JSON takes as space.
         pytest.param(_HEADER + "true,0.5,0.5\n", False, id="json-true"),
@@ -150,8 +152,8 @@ class TestLoadDataset:
             except DatasetFormatError as exc:
                 expected = exc
         if fast:
-            # These files must not need the per-line reader at all.
-            monkeypatch.setattr("telebound.data._read_lines", None)
+            # These files must not need the per-line parser at all.
+            monkeypatch.setattr("telebound.data._parse_lines", None)
         try:
             got = load_dataset(path)
         except DatasetFormatError as exc:
@@ -174,6 +176,9 @@ class TestLoadDataset:
                      "line 2: not valid UTF-8 (invalid continuation byte)", id="cut-at-line-end"),
         pytest.param(_HEADER.encode() + b"0,0,0.5\n1,1,0.5\xe2\x82",
                      "line 3: not valid UTF-8 (unexpected end of data)", id="cut-at-eof"),
+        # A format defect in the first block, and a bad byte two blocks on.
+        pytest.param(_HEADER.encode() + b"0,oops,0.5\n" + b"0.5,0.5,0.5\n" * 12_000 + b"\xff\n",
+                     "line 12003: not valid UTF-8 (invalid start byte)", id="blocks-after-format-error"),
     ])
     def test_non_utf8_message(self, tmp_path, data, message):
         path = tmp_path / "ds.csv"
@@ -189,12 +194,13 @@ class TestLoadDataset:
     ])
     def test_pipe_is_read_once(self, rows, message):
         # A pipe cannot be re-read after a rejected bulk parse; the per-line
-        # reader must still name the line.
+        # parser must still name the line.
         read_fd, write_fd = os.pipe()
         os.write(write_fd, (_HEADER + rows).encode("utf-8", "surrogateescape"))
         os.close(write_fd)
         if message is None:
-            assert load_dataset(read_fd)[0] == DatasetRecord(0.5, -0.25, 0.9)
+            ds = load_dataset(read_fd)
+            assert (ds.beta_re.tolist(), ds.beta_im.tolist(), ds.fidelity.tolist()) == ([0.5], [-0.25], [0.9])
         else:
             with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
                 load_dataset(read_fd)
@@ -245,7 +251,7 @@ class TestLoadDataset:
         # Blocks shorter than a row, and of one or two rows: every read ends
         # inside a row, which the next block must complete. A one-record
         # file, and bodies one byte short of a block, of one block and one
-        # byte past it, are read by the same count pass and blocks.
+        # byte past it, are read by the same blocks.
         ds, path = self._write_special(tmp_path)
         cut = tmp_path / "no-final-newline.csv"
         cut.write_bytes(path.read_bytes()[:-1])
@@ -254,7 +260,7 @@ class TestLoadDataset:
         cases = [(ds, path), (ds, cut), (one, tmp_path / "one.csv")]
         cases += [self._write_body(tmp_path, block_size + d) for d in (-1, 0, 1)]
         monkeypatch.setattr("telebound.data.BLOCK_SIZE", block_size)
-        monkeypatch.setattr("telebound.data._read_lines", None)
+        monkeypatch.setattr("telebound.data._parse_lines", None)
         for written, p in cases:
             back = load_dataset(p)
             for column in ("beta_re", "beta_im", "fidelity"):
@@ -342,27 +348,50 @@ class TestLoadDataset:
         if block_size is not None:
             monkeypatch.setattr("telebound.data.BLOCK_SIZE", block_size)
         if line_end == "crlf":
-            monkeypatch.setattr("telebound.data._read_lines", None)
+            monkeypatch.setattr("telebound.data._parse_lines", None)
         got = load_dataset(path)
         for column in ("beta_re", "beta_im", "fidelity"):
             a, b = getattr(got, column), getattr(expected, column)
             assert a.tobytes() == b.tobytes() == getattr(ds, column).tobytes()
 
-    def test_load_peak_memory(self, tmp_path):
+    @pytest.mark.parametrize("source", ["file", "blank-line", "pipe"])
+    def test_load_peak_memory(self, tmp_path, source):
         # The columns are filled in place, a block at a time, so the peak is
-        # the columns and one block's copies.
+        # the columns and one block's copies. A block with a blank line is
+        # parsed line by line on its own, and a pipe, whose size is unknown,
+        # grows the columns in place.
         rng = np.random.default_rng(6)
         n = 262_144
         path = tmp_path / "big.csv"
         write_dataset(path, Dataset(rng.normal(size=n), rng.normal(size=n), rng.random(n)))
         load_dataset(_write(tmp_path, _HEADER + "0.5,-0.25,0.9\n", "warm.csv"))  # imports orjson
+        expected, target, writer = load_dataset(path), path, None
+        if source == "blank-line":
+            text = path.read_bytes()
+            at = int(np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[n // 2]) + 1
+            path.write_bytes(text[:at] + b"\n" + text[at:])
+        elif source == "pipe":
+            text = path.read_bytes()
+            target, write_fd = os.pipe()
+
+            def feed():
+                with open(write_fd, "wb") as out:
+                    out.write(text)
+
+            writer = threading.Thread(target=feed)
+            writer.start()
         tracemalloc.start()
         try:
-            ds = load_dataset(path)
+            ds = load_dataset(target)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 3 * ds.beta_re.nbytes
+            if writer is not None:
+                writer.join(timeout=60)
+                assert not writer.is_alive()
+        assert peak < (2.0 if source == "pipe" else 1.5) * 3 * ds.beta_re.nbytes
+        for column in ("beta_re", "beta_im", "fidelity"):
+            assert getattr(ds, column).tobytes() == getattr(expected, column).tobytes()
 
     def test_orjson_parses_floats_as_float_does(self):
         # The fast path's values are orjson's, and its exactness rests on

@@ -106,6 +106,12 @@ class TestQuad:
     def test_gaussian_floor_is_input_error(self, capsys):
         code, _, err = run(capsys, "quad", "--prior", "gaussian:1e-9", "--gain", "0.5")
         assert code == 2
+        # Radial spans wider than the floor Gaussian's alpha range fail
+        # before any grid is allocated (7.45 and 74.5 GiB here).
+        for prior, span in [("disk:1e9", "1e+09"), ("truncgauss:1e-300,1e10", "1e+10")]:
+            code, out, err = run(capsys, "quad", "--prior", prior, "--gain", "0.5")
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: radial span {span} needs ") and "budget of 4635" in err
 
     def test_malformed_curve_file(self, capsys, tmp_path):
         path = tmp_path / "curve.txt"
