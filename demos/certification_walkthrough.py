@@ -18,7 +18,7 @@ Run:  python3 demos/certification_walkthrough.py
 
 from telebound import (
     Constant,
-    SimulatedGain,
+    Gain,
     UniformDisk,
     generate_dataset,
     optimize_gain,
@@ -47,7 +47,7 @@ print("=" * 72)
 print("  Simulate the best classical gain for each disk, then try to certify:")
 for radius in (1.0, 2.0, 3.0):
     g = optimize_gain(UniformDisk(radius)).best_strategy.g
-    ds = generate_dataset(radius, 20_000, SimulatedGain(g), seed=42)
+    ds = generate_dataset(radius, 20_000, Gain(g), seed=42)
     rep = verdict(ds, epsilon=0.01, resamples=300, seed=2)
     print(f"  disk R={radius:3.1f}, gain {g:.3f}: weighted F = {rep.weighted_fidelity:.4f} "
           f"vs bound {rep.classical_bound:.4f}  -> {rep.verdict}")
@@ -60,7 +60,7 @@ print("  The weighted mean estimates the truncated-Gaussian average, which a")
 print("  classical strategy can push above the whole-plane bound by a margin")
 print("  on the order of epsilon. Classical reach vs bound at R = 2:")
 g2 = optimize_gain(UniformDisk(2.0)).best_strategy.g
-ds2 = generate_dataset(2.0, 30_000, SimulatedGain(g2), seed=7)
+ds2 = generate_dataset(2.0, 30_000, Gain(g2), seed=7)
 for eps in (0.1, 0.01, 0.001):
     rep = verdict(ds2, epsilon=eps, resamples=300, seed=3)
     reach = truncated_gain_fidelity(rep.lam, 2.0, g2)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import Prior, Strategy, check_positive, disk_mass
 
@@ -30,17 +29,15 @@ __all__ = [
 class BoundResult:
     """A classical average-fidelity bound for one prior.
 
-    value is the bound itself. optimal_gain is set when the bound is the
-    optimum of the gain family; strategy carries the winning strategy when
-    a wider family was searched. The value is a lower estimate of the true
-    classical optimum: the measurement is fixed to heterodyne detection and
-    guesses are restricted to coherent states.
+    value is the bound itself and strategy the strategy that reaches it.
+    The value is a lower estimate of the true classical optimum: the
+    measurement is fixed to heterodyne detection and guesses are restricted
+    to coherent states.
     """
 
     value: float
     prior: str
-    optimal_gain: Optional[float] = None
-    strategy: Optional[Strategy] = None
+    strategy: Strategy
 
 
 def gaussian_bound(lam: float) -> float:

@@ -25,7 +25,7 @@ from .core import Gain, GaussianIso, Prior, RadialCurve, Strategy, TruncatedGaus
 from .data import DatasetFormatError, load_dataset, utf8_error, write_dataset
 from .optimize import ConvergenceError, optimize_gain, optimize_guess_curve
 from .quadrature import QuadratureSpec, average_fidelity_quad
-from .simulate import Constant, SimulatedGain, generate_dataset, simulate
+from .simulate import Constant, generate_dataset, simulate
 
 __all__ = ["main", "build_parser"]
 
@@ -51,10 +51,12 @@ def _parse_model(text: str):
         if kind == "const":
             return Constant(float(arg))
         if kind == "gain":
-            return SimulatedGain(float(arg))
+            return Gain(float(arg))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad model {text!r}: {exc}") from None
-    raise ValueError(f"unknown model {text!r}; use const:C or gain:G")
+    if kind == "curve":
+        return _load_curve(arg)
+    raise ValueError(f"unknown model {text!r}; use const:C, gain:G or curve:FILE")
 
 
 def _load_curve(path: str) -> RadialCurve:
@@ -64,7 +66,7 @@ def _load_curve(path: str) -> RadialCurve:
         reason = utf8_error(line.encode("utf-8", "surrogateescape"))  # the escape is lossless
         if reason is not None:
             raise ValueError(f"{path}:{line_no}: not valid UTF-8 ({reason})")
-    nodes = []
+    nodes, node_lines = [], []
     for line_no, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -76,7 +78,21 @@ def _load_curve(path: str) -> RadialCurve:
             nodes.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise ValueError(f"{path}:{line_no}: non-numeric node") from None
-    return RadialCurve(tuple(nodes))
+        node_lines.append(line_no)
+    try:
+        return RadialCurve(tuple(nodes))
+    except ValueError as exc:
+        reason = exc
+    # RadialCurve ties each node to the one before it only, so the first bad
+    # node ends the shortest prefix it rejects. The first node is tried with
+    # a copy of itself one unit further out.
+    for k, line_no in enumerate(node_lines):
+        probe = nodes[:k + 1] if k else [nodes[0], (nodes[0][0] + 1.0, nodes[0][1])]
+        try:
+            RadialCurve(tuple(probe))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+    raise ValueError(f"{path}: {reason}")
 
 
 def _strategy_from_args(args) -> Strategy:
@@ -223,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthetic dataset CSV")
     p.add_argument("--radius", type=float, required=True, help="disk radius of the inputs")
     p.add_argument("-n", type=int, required=True, help="record count")
-    p.add_argument("--model", required=True, help="const:C | gain:G")
+    p.add_argument("--model", required=True, help="const:C | gain:G | curve:FILE")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--output", required=True, help="output CSV path")

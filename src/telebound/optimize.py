@@ -218,10 +218,6 @@ def classical_bound_estimate(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     """
     gain_report = optimize_gain(prior, tol=min(tol, 1e-6))
     curve_report = optimize_guess_curve(prior, n_nodes=n_nodes, tol=tol, spec=spec)
-    label = repr(prior)
-    if curve_report.best_value > gain_report.best_value:
-        return BoundResult(value=curve_report.best_value, prior=label,
-                           strategy=curve_report.best_strategy)
-    return BoundResult(value=gain_report.best_value, prior=label,
-                       optimal_gain=gain_report.best_strategy.g,
-                       strategy=gain_report.best_strategy)
+    # On a tie max keeps the first report, the gain.
+    best = max(gain_report, curve_report, key=lambda report: report.best_value)
+    return BoundResult(value=best.best_value, prior=repr(prior), strategy=best.best_strategy)

@@ -25,19 +25,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .core import (Gain, Prior, Strategy, UniformDisk, apply_strategy, check_count,
-                   check_positive, fidelity_kernel, seeded_stream)
+from .core import (Gain, Prior, RadialCurve, Strategy, UniformDisk, apply_strategy,
+                   check_count, check_positive, fidelity_kernel, seeded_stream)
 from .data import Dataset
 
 __all__ = [
     "FidelityEstimate",
     "Constant",
-    "SimulatedGain",
-    "FidelityModel",
     "sample_heterodyne",
     "sample_prior",
     "simulate",
@@ -142,27 +140,15 @@ class Constant:
             raise ValueError(f"Constant fidelity must be in [0, 1], got {self.value}")
 
 
-@dataclass(frozen=True)
-class SimulatedGain:
-    """Each record's fidelity is a single simulated measure-and-prepare
-    round with the given gain."""
-
-    g: float
-
-    def __post_init__(self):
-        check_positive(self.g, "g", zero_ok=True)
-
-
-FidelityModel = Union[Constant, SimulatedGain]
-
-
-def generate_dataset(radius: float, n: int, model: FidelityModel, seed: int,
+def generate_dataset(radius: float, n: int, model: Constant | Strategy, seed: int,
                      workers: int = 1) -> Dataset:
-    """Synthetic dataset: inputs uniform on the disk of `radius`, fidelities
-    per the model. Deterministic for fixed (radius, n, model, seed)."""
+    """Synthetic dataset: inputs uniform on the disk of `radius`. A Constant
+    model gives every record its value; a strategy gives each record the
+    fidelity of one measure-and-prepare round with that strategy, as in
+    simulate. Deterministic for fixed (radius, n, model, seed)."""
     check_positive(radius, "radius")
     check_count(n, "n", 1)
-    if not isinstance(model, (Constant, SimulatedGain)):
+    if not isinstance(model, (Constant, Gain, RadialCurve)):
         raise TypeError(f"unsupported fidelity model: {model!r}")
     prior = UniformDisk(radius)
     beta = np.empty(n, dtype=complex)
@@ -176,7 +162,7 @@ def generate_dataset(radius: float, n: int, model: FidelityModel, seed: int,
             beta[rows] = sample_prior(prior, rng, count)
             fid[rows] = model.value
         else:
-            beta[rows], fid[rows] = _round(prior, Gain(model.g), rng, count)
+            beta[rows], fid[rows] = _round(prior, model, rng, count)
 
     _map_chunks(run_chunk, n, workers)
     return Dataset(beta.real, beta.imag, fid)

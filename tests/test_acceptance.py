@@ -8,7 +8,6 @@ from telebound import (
     Constant,
     Gain,
     GaussianIso,
-    SimulatedGain,
     TruncatedGaussian,
     UniformDisk,
     average_fidelity_quad,
@@ -119,7 +118,7 @@ def test_criterion_6_no_false_positives():
     runs = 0
     for seed in range(20):
         radius = (1.0, 2.0, 3.0)[seed % 3]
-        ds = generate_dataset(radius, 20_000, SimulatedGain(radii[radius]), seed=5000 + seed)
+        ds = generate_dataset(radius, 20_000, Gain(radii[radius]), seed=5000 + seed)
         for eps in epsilons:
             report = verdict(ds, epsilon=eps, resamples=300, seed=seed)
             runs += 1
@@ -133,8 +132,8 @@ def test_criterion_7_determinism(tmp_path):
     est_a = simulate(UniformDisk(2.0), Gain(0.7), 300_000, seed=9)
     est_b = simulate(UniformDisk(2.0), Gain(0.7), 300_000, seed=9)
     est_c = simulate(UniformDisk(2.0), Gain(0.7), 300_000, seed=9, workers=4)
-    ds_a = generate_dataset(2.0, 100_000, SimulatedGain(0.7), seed=9)
-    ds_b = generate_dataset(2.0, 100_000, SimulatedGain(0.7), seed=9, workers=3)
+    ds_a = generate_dataset(2.0, 100_000, Gain(0.7), seed=9)
+    ds_b = generate_dataset(2.0, 100_000, Gain(0.7), seed=9, workers=3)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_dataset(p1, ds_a)
     write_dataset(p2, ds_b)

@@ -17,10 +17,10 @@ from telebound import (
     Constant,
     Dataset,
     DatasetFormatError,
+    Gain,
     INCONCLUSIVE,
     NONCLASSICAL,
     Report,
-    SimulatedGain,
     bootstrap_ci,
     generate_dataset,
     load_dataset,
@@ -211,7 +211,7 @@ class TestLoadDataset:
             Dataset([0.0, 1.0], [0.0, 0.5], [bad, 0.5])
 
     def test_write_load_roundtrip_is_bit_exact(self, tmp_path):
-        ds = generate_dataset(2.0, 500, SimulatedGain(0.7), seed=3)
+        ds = generate_dataset(2.0, 500, Gain(0.7), seed=3)
         path = tmp_path / "rt.csv"
         write_dataset(path, ds)
         back = load_dataset(path)
@@ -535,13 +535,13 @@ class TestWeightedFidelity:
         assert weighted_fidelity(ds, 0.0) == pytest.approx(0.6, rel=1e-15)
 
     def test_stays_within_record_range(self):
-        ds = generate_dataset(2.0, 2_000, SimulatedGain(0.5), seed=1)
+        ds = generate_dataset(2.0, 2_000, Gain(0.5), seed=1)
         for lam in (0.0, 1.0, 10.0):
             wf = weighted_fidelity(ds, lam)
             assert ds.fidelity.min() <= wf <= ds.fidelity.max()
 
     def test_estimates_truncated_gaussian_average(self):
-        ds = generate_dataset(3.0, 200_000, SimulatedGain(0.5), seed=2)
+        ds = generate_dataset(3.0, 200_000, Gain(0.5), seed=2)
         lam = 1.0
         w = np.exp(-lam * (ds.beta_re**2 + ds.beta_im**2))
         ess = np.sum(w) ** 2 / np.sum(w * w)
@@ -550,13 +550,13 @@ class TestWeightedFidelity:
             truncated_gain_closed(lam, 3.0, 0.5), abs=4 * stderr)
 
     def test_permutation_invariance(self):
-        ds = generate_dataset(1.0, 1_000, SimulatedGain(0.4), seed=5)
+        ds = generate_dataset(1.0, 1_000, Gain(0.4), seed=5)
         perm = np.random.default_rng(0).permutation(len(ds))
         shuffled = Dataset(ds.beta_re[perm], ds.beta_im[perm], ds.fidelity[perm])
         assert weighted_fidelity(shuffled, 0.7) == pytest.approx(weighted_fidelity(ds, 0.7), abs=1e-12)
 
     def test_rotation_invariance(self):
-        ds = generate_dataset(1.0, 1_000, SimulatedGain(0.4), seed=6)
+        ds = generate_dataset(1.0, 1_000, Gain(0.4), seed=6)
         beta = ds.beta * np.exp(1j * 1.234)
         rotated = Dataset(beta.real, beta.imag, ds.fidelity)
         assert weighted_fidelity(rotated, 0.7) == pytest.approx(weighted_fidelity(ds, 0.7), abs=1e-12)
@@ -626,9 +626,9 @@ def _counts_bootstrap_ci(ds, lam, resamples, seed, level=0.95):
 
 class TestBootstrapCI:
     @pytest.mark.parametrize("model,lam,seed", [
-        (SimulatedGain(0.6), 0.0, 0),
-        (SimulatedGain(0.6), 1.0, 3),
-        (SimulatedGain(0.3), 4.60517, 11),
+        (Gain(0.6), 0.0, 0),
+        (Gain(0.6), 1.0, 3),
+        (Gain(0.3), 4.60517, 11),
         (Constant(0.58), 1.0, 5),
     ])
     def test_counts_match_gather_reference(self, model, lam, seed):
@@ -649,7 +649,7 @@ class TestBootstrapCI:
     @pytest.mark.parametrize("n", [2, 3, 4999, 5000, 8192, 8193, 10001, 65536, 65537])
     @pytest.mark.parametrize("resamples", [100, 1001])
     def test_blocked_draws_match_per_resample_reference(self, n, resamples):
-        ds = generate_dataset(2.0, n, SimulatedGain(0.6), seed=n)
+        ds = generate_dataset(2.0, n, Gain(0.6), seed=n)
         assert len(set(ds.fidelity)) > 1
         assert bootstrap_ci(ds, 1.0, resamples, seed=7) == _counts_bootstrap_ci(
             ds, 1.0, resamples, seed=7)
@@ -660,7 +660,7 @@ class TestBootstrapCI:
         # a resample's n indices and its bincount at once held 5.0, and a
         # fresh float copy of the counts besides held 6.0.
         n = 200_000
-        ds = generate_dataset(2.0, n, SimulatedGain(0.6), seed=1)
+        ds = generate_dataset(2.0, n, Gain(0.6), seed=1)
         tracemalloc.start()
         try:
             bootstrap_ci(ds, 1.0, resamples=100, seed=2)
@@ -686,7 +686,7 @@ class TestBootstrapCI:
         # threads; before the dots were sliced, this file's weighted fidelity
         # and interval differed in the last bits between 1 and 2 threads.
         path = tmp_path / "gain.csv"
-        write_dataset(path, generate_dataset(2.0, 20_000, SimulatedGain(0.458), seed=3))
+        write_dataset(path, generate_dataset(2.0, 20_000, Gain(0.458), seed=3))
         src = os.path.dirname(os.path.dirname(certify.__file__))
         code = "import sys, telebound.cli; sys.exit(telebound.cli.main())"
         outs = []
@@ -706,18 +706,18 @@ class TestBootstrapCI:
         assert bootstrap_ci(ds, 1.0, resamples=200, seed=1) == (0.58, 0.58)
 
     def test_contains_point_estimate(self):
-        ds = generate_dataset(2.0, 2_000, SimulatedGain(0.6), seed=7)
+        ds = generate_dataset(2.0, 2_000, Gain(0.6), seed=7)
         for lam in (0.0, 0.5, 2.0):
             lo, hi = bootstrap_ci(ds, lam, resamples=300, seed=3)
             assert lo <= weighted_fidelity(ds, lam) <= hi
 
     def test_deterministic(self):
-        ds = generate_dataset(2.0, 1_000, SimulatedGain(0.6), seed=8)
+        ds = generate_dataset(2.0, 1_000, Gain(0.6), seed=8)
         assert bootstrap_ci(ds, 1.0, resamples=200, seed=4) == bootstrap_ci(ds, 1.0, resamples=200, seed=4)
         assert bootstrap_ci(ds, 1.0, resamples=200, seed=4) != bootstrap_ci(ds, 1.0, resamples=200, seed=5)
 
     def test_validation(self):
-        ds = generate_dataset(1.0, 100, SimulatedGain(0.5), seed=0)
+        ds = generate_dataset(1.0, 100, Gain(0.5), seed=0)
         for bad in (99, 100.5):
             with pytest.raises(ValueError, match="resamples"):
                 bootstrap_ci(ds, 1.0, resamples=bad)
@@ -745,7 +745,7 @@ class TestBootstrapCI:
         true = truncated_gain_closed(1.0, 3.0, 0.5)
         cover = 0
         for s in range(200):
-            ds = generate_dataset(3.0, 400, SimulatedGain(0.5), seed=1000 + s)
+            ds = generate_dataset(3.0, 400, Gain(0.5), seed=1000 + s)
             lo, hi = bootstrap_ci(ds, 1.0, resamples=500, seed=s)
             cover += lo <= true <= hi
         assert 180 <= cover <= 200
@@ -755,7 +755,7 @@ class TestHelperThread:
     """The draws are counted on a helper thread, which every call joins."""
 
     def test_threads_are_joined_on_return(self):
-        ds = generate_dataset(2.0, 5_000, SimulatedGain(0.6), seed=3)
+        ds = generate_dataset(2.0, 5_000, Gain(0.6), seed=3)
         before = threading.active_count()
         bootstrap_ci(ds, 1.0, resamples=200, seed=1)
         assert threading.active_count() == before
@@ -763,7 +763,7 @@ class TestHelperThread:
     def test_concurrent_calls_under_fast_switching(self):
         # More threads than cores, switching often: each call's counts stay
         # its own, so every interval is still the reference's.
-        ds = generate_dataset(2.0, 5_000, SimulatedGain(0.6), seed=3)
+        ds = generate_dataset(2.0, 5_000, Gain(0.6), seed=3)
         expected = [_counts_bootstrap_ci(ds, 1.0, 100, seed) for seed in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -776,7 +776,7 @@ class TestHelperThread:
         assert got == expected
 
     def test_a_failure_in_the_helper_propagates(self, monkeypatch):
-        ds = generate_dataset(2.0, 5_000, SimulatedGain(0.6), seed=3)
+        ds = generate_dataset(2.0, 5_000, Gain(0.6), seed=3)
         calls = []
 
         def failing_dot(a, b):
@@ -794,7 +794,7 @@ class TestHelperThread:
         assert calls[0] == threading.get_ident() != calls[-1]
 
     def test_a_failure_in_the_stream_propagates(self, monkeypatch):
-        ds = generate_dataset(2.0, 5_000, SimulatedGain(0.6), seed=3)
+        ds = generate_dataset(2.0, 5_000, Gain(0.6), seed=3)
 
         class FailingStream:
             def __init__(self, rng):
@@ -848,7 +848,7 @@ class TestVerdict:
         assert len(flips) == 1
 
     def test_classical_dataset_inconclusive_at_tight_epsilon(self):
-        ds = generate_dataset(2.0, 30_000, SimulatedGain(0.686578), seed=20)
+        ds = generate_dataset(2.0, 30_000, Gain(0.686578), seed=20)
         for eps in (0.01, 1e-3, 1e-4):
             report = verdict(ds, epsilon=eps, resamples=200, seed=2)
             assert report.verdict == INCONCLUSIVE
@@ -858,7 +858,7 @@ class TestVerdict:
         # a classical disk-optimal strategy reaches exceeds the whole-plane
         # bound (1+lam)/(2+lam), so the procedure falsely certifies. This
         # pins the measured gap so the epsilon guidance stays honest.
-        ds = generate_dataset(2.0, 30_000, SimulatedGain(0.686578), seed=20)
+        ds = generate_dataset(2.0, 30_000, Gain(0.686578), seed=20)
         report = verdict(ds, epsilon=0.1, resamples=200, seed=2)
         lam = report.lam
         classical_reach = truncated_gain_closed(lam, 2.0, 0.686578)
@@ -894,7 +894,7 @@ class TestVerdict:
 
 class TestReport:
     def test_roundtrip_through_json(self):
-        ds = generate_dataset(2.0, 2_000, SimulatedGain(0.6), seed=22)
+        ds = generate_dataset(2.0, 2_000, Gain(0.6), seed=22)
         report = verdict(ds, epsilon=0.01, resamples=150, seed=3)
         blob = json.dumps(report.to_dict())
         back = Report.from_dict(json.loads(blob))

@@ -7,6 +7,7 @@ import pytest
 
 from telebound import cli
 from telebound.cli import build_parser, main
+from telebound.data import write_dataset
 from telebound.simulate import CHUNK_SIZE, generate_dataset
 
 
@@ -113,12 +114,20 @@ class TestQuad:
             assert (code, out) == (2, "")
             assert err.startswith(f"error: radial span {span} needs ") and "budget of 4635" in err
 
-    def test_malformed_curve_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("0 0\n1\n", 2),
+        ("0,0\n1,0.5\nnan,1\n", 3),
+        ("0,0\n1,0.5\n0.5,1\n", 3),
+        ("# radius, guess radius\n0,0\n\n1,0.5\n2,-1\n", 5),
+        ("1,0\n2,1\n", 1),
+    ], ids=["one-field", "nan-radius", "falling-radius", "negative-guess", "no-origin"])
+    def test_malformed_curve_file(self, capsys, tmp_path, text, line):
+        # RadialCurve's rules are named at the first node that breaks one.
         path = tmp_path / "curve.txt"
-        path.write_text("0 0\n1\n")
+        path.write_text(text)
         code, _, err = run(capsys, "quad", "--prior", "disk:1", "--curve", str(path))
         assert code == 2
-        assert ":2" in err
+        assert err.startswith(f"error: {path}:{line}: ")
 
     def test_rows(self, capsys):
         code, out, _ = run(capsys, "quad", "--prior", "disk:2", "--gain", "0.5")
@@ -288,7 +297,24 @@ class TestGenerateAnalyze:
         code, _, err = run(capsys, "generate", "--radius", "1", "-n", "10",
                            "--model", "poisson:1", "--seed", "0", "-o", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "unknown model" in err
+        assert "unknown model" in err and "curve:FILE" in err
+        with pytest.raises(SystemExit):
+            run(capsys, "generate", "--help")
+        assert "const:C | gain:G | curve:FILE" in capsys.readouterr().out
+
+    def test_generate_curve_model(self, capsys, tmp_path):
+        curve, path = tmp_path / "curve.txt", tmp_path / "d.csv"
+        curve.write_text("0,0\n1,0.45\n3,0.9\n")
+        code, _, _ = run(capsys, "generate", "--radius", "2", "-n", "5000", "--model",
+                         f"curve:{curve}", "--seed", "5", "-o", str(path))
+        assert code == 0
+        expected = tmp_path / "e.csv"
+        write_dataset(expected, generate_dataset(2.0, 5000, cli._load_curve(str(curve)), 5))
+        assert path.read_bytes() == expected.read_bytes()
+        code, _, err = run(capsys, "generate", "--radius", "2", "-n", "10", "--model",
+                           f"curve:{tmp_path / 'missing.txt'}", "-o", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "missing.txt" in err
 
     def test_generate_bad_worker_count_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "x.csv"

@@ -9,6 +9,7 @@ from telebound import (
     RadialCurve,
     TruncatedGaussian,
     UniformDisk,
+    average_fidelity_quad,
     classical_bound_estimate,
     gaussian_bound,
     optimize_gain,
@@ -170,10 +171,14 @@ class TestClassicalBoundEstimate:
         assert result.value <= 2.0 / 3.0 + 1e-6
 
     def test_winning_strategy_reported(self):
-        result = classical_bound_estimate(UniformDisk(2.0))
-        assert result.strategy is not None
-        if isinstance(result.strategy, Gain):
-            assert result.optimal_gain == result.strategy.g
+        # The strategy reaches the value: a curve on the disk, where curves
+        # beat the best gain, and a gain on the Gaussian, where it is optimal.
+        for prior, family in ((UniformDisk(2.0), RadialCurve), (GaussianIso(1.0), Gain)):
+            result = classical_bound_estimate(prior)
+            assert isinstance(result.strategy, family)
+            reached = average_fidelity_quad(prior, result.strategy).value
+            assert result.value == pytest.approx(reached, abs=1e-9)
+        assert result.strategy.g == pytest.approx(0.5, abs=1e-6)
 
     def test_floor_and_monotonicity_over_radius(self):
         radii = (0.5, 1.0, 2.0, 3.0, 5.0, 10.0)

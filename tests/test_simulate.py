@@ -11,15 +11,16 @@ from telebound import (
     Gain,
     GaussianIso,
     RadialCurve,
-    SimulatedGain,
     TruncatedGaussian,
     UniformDisk,
     average_fidelity_quad,
     disk_gain_fidelity,
     gaussian_gain_fidelity,
     generate_dataset,
+    optimize_guess_curve,
     sample_heterodyne,
     sample_prior,
+    select_lambda,
     simulate,
     truncated_gain_fidelity,
     weighted_fidelity,
@@ -31,6 +32,7 @@ from telebound.simulate import CHUNK_SIZE
 simulate_module = importlib.import_module("telebound.simulate")
 
 N_BIG = 1_000_000
+CURVE = RadialCurve(((0.0, 0.0), (1.0, 0.45), (3.0, 0.75)))
 
 
 def _rng(seed):
@@ -109,7 +111,7 @@ class TestSimulate:
             (GaussianIso(0.2), Gain(0.8)),
             (UniformDisk(2.0), Gain(0.69)),
             (TruncatedGaussian(1.0, 3.0), Gain(0.5)),
-            (UniformDisk(1.0), RadialCurve(((0.0, 0.0), (1.0, 0.45), (3.0, 0.75)))),
+            (UniformDisk(1.0), CURVE),
         ]
         for prior, strategy in cases:
             est = simulate(prior, strategy, 400_000, seed=21)
@@ -164,20 +166,20 @@ class TestGenerateDataset:
             assert weighted_fidelity(ds, lam) == 1.0
 
     def test_simulated_gain_unit_mean(self):
-        ds = generate_dataset(2.0, N_BIG, SimulatedGain(1.0), seed=3)
+        ds = generate_dataset(2.0, N_BIG, Gain(1.0), seed=3)
         stderr = np.std(ds.fidelity) / math.sqrt(len(ds))
         assert np.mean(ds.fidelity) == pytest.approx(0.5, abs=3 * stderr)
 
     def test_simulated_gain_matches_disk_closed_form(self):
         g = 0.686578
-        ds = generate_dataset(2.0, 400_000, SimulatedGain(g), seed=4)
+        ds = generate_dataset(2.0, 400_000, Gain(g), seed=4)
         stderr = np.std(ds.fidelity) / math.sqrt(len(ds))
         assert np.mean(ds.fidelity) == pytest.approx(disk_gain_fidelity(2.0, g), abs=3 * stderr)
 
     def test_reweighted_matches_truncated_gaussian(self):
         # uniform-disk samples reweighted by exp(-lam |beta|^2) estimate the
         # truncated-Gaussian ensemble average
-        ds = generate_dataset(3.0, 400_000, SimulatedGain(0.5), seed=5)
+        ds = generate_dataset(3.0, 400_000, Gain(0.5), seed=5)
         lam = 1.0
         wf = weighted_fidelity(ds, lam)
         w = np.exp(-lam * (ds.beta_re**2 + ds.beta_im**2))
@@ -185,9 +187,24 @@ class TestGenerateDataset:
         stderr = np.std(ds.fidelity) / math.sqrt(ess)
         assert wf == pytest.approx(truncated_gain_fidelity(lam, 3.0, 0.5), abs=4 * stderr)
 
+    def test_curve_dataset_estimates_the_curves_fidelity(self):
+        # The identity a coverage harness of curve datasets relies on: plain
+        # and reweighted means estimate the curve's quadrature values.
+        curve = optimize_guess_curve(UniformDisk(2.0)).best_strategy
+        ds = generate_dataset(2.0, 400_000, curve, seed=6)
+        stderr = np.std(ds.fidelity) / math.sqrt(len(ds))
+        expected = average_fidelity_quad(UniformDisk(2.0), curve).value
+        assert np.mean(ds.fidelity) == pytest.approx(expected, abs=4 * stderr)
+        lam = select_lambda(2.0, 0.01)
+        w = np.exp(-lam * (ds.beta_re**2 + ds.beta_im**2))
+        ess = np.sum(w) ** 2 / np.sum(w * w)
+        stderr = np.std(ds.fidelity) / math.sqrt(ess)
+        expected = average_fidelity_quad(TruncatedGaussian(lam, 2.0), curve).value
+        assert weighted_fidelity(ds, lam) == pytest.approx(expected, abs=4 * stderr)
+
     def test_deterministic_and_worker_invariant(self):
-        a = generate_dataset(1.5, 150_000, SimulatedGain(0.7), seed=9)
-        b = generate_dataset(1.5, 150_000, SimulatedGain(0.7), seed=9, workers=4)
+        a = generate_dataset(1.5, 150_000, Gain(0.7), seed=9)
+        b = generate_dataset(1.5, 150_000, Gain(0.7), seed=9, workers=4)
         assert np.array_equal(a.beta_re, b.beta_re)
         assert np.array_equal(a.beta_im, b.beta_im)
         assert np.array_equal(a.fidelity, b.fidelity)
@@ -199,7 +216,7 @@ class TestGenerateDataset:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for model in (Constant(0.58), SimulatedGain(0.7)):
+            for model in (Constant(0.58), Gain(0.7), CURVE):
                 a = generate_dataset(1.5, 9 * CHUNK_SIZE + 5, model, seed=9)
                 b = generate_dataset(1.5, 9 * CHUNK_SIZE + 5, model, seed=9, workers=8)
                 for column in ("beta_re", "beta_im", "fidelity"):
@@ -212,7 +229,7 @@ class TestGenerateDataset:
         # result and then their concatenation took about 2x the output.
         tracemalloc.start()
         try:
-            ds = generate_dataset(2, 16 * CHUNK_SIZE, SimulatedGain(0.5), 1)
+            ds = generate_dataset(2, 16 * CHUNK_SIZE, Gain(0.5), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -224,7 +241,7 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             Constant(-0.1)
         with pytest.raises(ValueError):
-            SimulatedGain(-1.0)
+            Gain(-1.0)
         with pytest.raises(ValueError):
             generate_dataset(0.0, 10, Constant(0.5), seed=0)
         for bad in (0, 1.5):
@@ -233,9 +250,12 @@ class TestGenerateDataset:
         for workers in (0, -1, 1.5):
             with pytest.raises(ValueError, match="workers"):
                 generate_dataset(1.0, 10, Constant(0.5), seed=0, workers=workers)
-        for model in (Constant(0.5), SimulatedGain(0.5)):
+        for model in (Constant(0.5), Gain(0.5), CURVE):
             with pytest.raises(ValueError, match="seed must .* got -1"):
                 generate_dataset(1.0, 10, model, seed=-1)
+        for model in (0.5, UniformDisk(1.0)):
+            with pytest.raises(TypeError, match="unsupported fidelity model"):
+                generate_dataset(1.0, 10, model, seed=0)
 
 
 class TestOneChunk:
@@ -250,7 +270,7 @@ class TestOneChunk:
     def test_runs_in_the_callers_thread(self, no_pool, n, workers):
         a = simulate(UniformDisk(2.0), Gain(0.5), n, seed=4)
         assert simulate(UniformDisk(2.0), Gain(0.5), n, seed=4, workers=workers) == a
-        for model in (Constant(0.58), SimulatedGain(0.7)):
+        for model in (Constant(0.58), Gain(0.7)):
             a = generate_dataset(2.0, n, model, seed=4)
             b = generate_dataset(2.0, n, model, seed=4, workers=workers)
             for column in ("beta_re", "beta_im", "fidelity"):
@@ -266,4 +286,4 @@ class TestOneChunk:
         with pytest.raises(ValueError, match="workers"):
             simulate(UniformDisk(2.0), Gain(0.5), 10, seed=4, workers=0)
         with pytest.raises(ValueError, match="workers"):
-            generate_dataset(2.0, 10, SimulatedGain(0.7), seed=4, workers=0)
+            generate_dataset(2.0, 10, Gain(0.7), seed=4, workers=0)
