@@ -91,8 +91,18 @@ def fidelity_kernel(alpha, beta):
     a, b = _require_finite(alpha, "alpha"), _require_finite(beta, "beta")
     # Amplitudes too far apart overflow the distance; exp(-inf) = 0 is exact.
     with np.errstate(over="ignore"):
-        f = np.exp(-np.abs(np.subtract(a, b)) ** 2)
+        f = overlap(np.subtract(a, b))
     return float(f) if f.ndim == 0 else f
+
+
+def overlap(d, out=None):
+    """exp(-|d|^2) for amplitude differences d, written into `out` when
+    given: fidelity_kernel's formula, which the simulator also runs in
+    place on its chunk buffers. Arguments are not checked, and a |d| above
+    about 1.3e154 overflows |d|^2: callers that admit one run this under
+    np.errstate(over="ignore")."""
+    s = np.square(np.abs(d, out=out), out=out)
+    return np.exp(np.negative(s, out=out), out=out)
 
 
 def disk_mass(lam: float, radius: float) -> float:
@@ -235,9 +245,9 @@ class RadialCurve:
         r = np.asarray(r, dtype=float)
         rs = np.array([p[0] for p in self.nodes])
         rhos = np.array([p[1] for p in self.nodes])
-        out = np.interp(r, rs, rhos)
+        out = np.asarray(np.interp(r, rs, rhos))
         last_r, last_rho = self.nodes[-1]
-        return np.where(r > last_r, (last_rho / last_r) * r, out)
+        return np.multiply(last_rho / last_r, r, out=out, where=r > last_r)
 
 
 Strategy = Union[Gain, RadialCurve]
@@ -257,8 +267,14 @@ def apply_strategy(strategy: Strategy, alpha):
     else:
         # Built-in abs: Python's for a scalar, np.abs for an array. The two
         # can differ in the last bit, and each path keeps its own.
-        r = abs(a)
-        rho = strategy.guess_radius(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0) * a
+        out = curve_scale(strategy, np.asarray(abs(a), dtype=float)) * a
     return complex(out) if scalar else out
+
+
+def curve_scale(curve: RadialCurve, r: np.ndarray) -> np.ndarray:
+    """Overwrite the outcome moduli r, a float array, with the curve's guess
+    modulus over r, and return r: the factor that takes an outcome to its
+    guess. The origin keeps the factor 0."""
+    rho = curve.guess_radius(r)
+    # Where r is 0 the division is skipped and r keeps its 0.
+    return np.divide(rho, r, out=r, where=r > 0.0)

@@ -63,9 +63,11 @@ __all__ = [
 # arbitrarily wide; the analytic limits serve lam -> 0 instead.
 GAUSSIAN_LAMBDA_FLOOR = 1e-6
 
-# Kernel points (a, b) evaluated at once; bounds the working set at a few
-# arrays of 8 MiB whatever the radial grid sizes.
-_BLOCK_POINTS = 1 << 20
+# Kernel points (a, b) evaluated at once; bounds the working set at about a
+# dozen arrays of 256 KiB whatever the radial grid sizes. The block does not
+# move a bit of the sums (see _kernel_sums), and blocks of 8 MiB ran 2.5-3.5x
+# slower on wide Gaussians.
+_BLOCK_POINTS = 1 << 15
 
 # Cephes Chebyshev coefficients of i0e: _I0E_SMALL on [0, 8] in the variable
 # z/2 - 2, _I0E_LARGE for z > 8 in 32/z - 2 (scaled by sqrt(z) there).
@@ -250,10 +252,12 @@ def _kernel(a: np.ndarray, rho: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _kernel_sums(a: np.ndarray, rho: np.ndarray, b: np.ndarray,
                  b_weight: np.ndarray) -> np.ndarray:
     """sum_j K(a_i, rho_i, b_j) b_weight_j for 1-D a and rho, in blocks of
-    about _BLOCK_POINTS kernel points.
+    whole rows of at most _BLOCK_POINTS kernel points (one row when a row is
+    longer).
 
     einsum sums each row on its own, so a row's value does not depend on the
-    block it shares (a BLAS matrix-vector product can differ in the last bit).
+    block it shares or on the block size (a BLAS matrix-vector product can
+    differ in the last bit).
     """
     rows = max(1, _BLOCK_POINTS // b.size)
     out = np.empty(a.size)

@@ -13,11 +13,16 @@ Determinism
 -----------
 Samples are drawn in fixed-size chunks. Chunk i draws from
 core.seeded_stream(seed, i), a Philox generator seeded with
-SeedSequence(seed, spawn_key=(i,)). simulate sums the chunk results in
-index order, and generate_dataset has each chunk write its own slice of
-the output, so a run is bit-identical for fixed (seed, n, prior, strategy)
-regardless of the worker count. A run of one chunk starts no threads: it
-runs in the caller's thread whatever the worker count.
+SeedSequence(seed, spawn_key=(i,)), in the order input radius, input angle
+(or the two normal components of a whole-plane input), then the real and
+imaginary heterodyne noise. Each worker allocates one set of chunk-sized
+buffers for the whole call and runs every chunk it takes in them, in place;
+generate_dataset's chunks write their inputs and fidelities straight into
+their own slices of the output. Results are kept in chunk order and
+simulate sums them in that order, so a run is bit-identical for fixed
+(seed, n, prior, strategy) regardless of the worker count, and bit-identical
+to drawing and scoring each step into a new array. A run of one chunk
+starts no threads: it runs in the caller's thread whatever the worker count.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Gain, Prior, RadialCurve, Strategy, UniformDisk, apply_strategy,
-                   check_count, check_positive, fidelity_kernel, seeded_stream)
+from .core import (Gain, Prior, RadialCurve, Strategy, UniformDisk, check_count,
+                   check_positive, curve_scale, overlap, seeded_stream)
 from .data import Dataset
 
 __all__ = [
@@ -64,8 +69,7 @@ def sample_heterodyne(beta, rng: np.random.Generator, size: Optional[int] = None
     an integer size gives that many outcomes.
     """
     shape = np.shape(beta) if size is None else size
-    noise = rng.standard_normal(shape) * NOISE_STD + 1j * rng.standard_normal(shape) * NOISE_STD
-    out = np.asarray(beta) + noise
+    out = _draw_heterodyne(beta, rng, np.empty(shape, complex), np.empty(shape), np.empty(shape))
     if size is None and np.isscalar(beta):
         return complex(out)
     return out
@@ -74,33 +78,80 @@ def sample_heterodyne(beta, rng: np.random.Generator, size: Optional[int] = None
 def sample_prior(prior: Prior, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw input amplitudes from `prior`: two normal components for a
     whole-plane prior, else an inverse-CDF radius (no rejection)."""
+    return _draw_prior(prior, rng, np.empty(size, complex), np.empty(size), np.empty(size))
+
+
+def _complex_normal(rng: np.random.Generator, std: float, out, re, im):
+    """Fill out with std * (x + iy), x and y standard normals drawn in that
+    order into the float buffers re and im, and return it."""
+    np.multiply(rng.standard_normal(out=re), std, out=re)
+    np.multiply(1j, rng.standard_normal(out=im), out=out)
+    np.multiply(out, std, out=out)
+    return np.add(re, out, out=out)
+
+
+def _draw_prior(prior: Prior, rng: np.random.Generator, beta, re, im):
+    """sample_prior into beta, with the float buffers re and im as scratch."""
     if prior.radius == math.inf:
-        s = math.sqrt(1.0 / (2.0 * prior.lam))
-        return rng.standard_normal(size) * s + 1j * rng.standard_normal(size) * s
-    u = rng.random(size)
+        return _complex_normal(rng, math.sqrt(1.0 / (2.0 * prior.lam)), beta, re, im)
+    r = rng.random(out=re)
     if prior.lam == 0.0:
-        r = prior.radius * np.sqrt(u)
+        np.multiply(prior.radius, np.sqrt(r, out=r), out=r)
     else:
-        r = np.sqrt(-np.log1p(-u * prior.mass) / prior.lam)
-    theta = 2.0 * np.pi * rng.random(size)
-    return r * np.exp(1j * theta)
+        # sqrt(-log1p(-u mass) / lam); a negated factor gives the same bits.
+        np.log1p(np.multiply(r, -prior.mass, out=r), out=r)
+        np.sqrt(np.divide(r, -prior.lam, out=r), out=r)
+    theta = np.multiply(2.0 * np.pi, rng.random(out=im), out=im)
+    np.exp(np.multiply(1j, theta, out=beta), out=beta)
+    return np.multiply(r, beta, out=beta)
 
 
-def _round(prior: Prior, strategy: Strategy, rng: np.random.Generator, count: int):
-    """`count` measure-and-prepare rounds on `rng`, as described in simulate;
-    returns the inputs beta and their fidelities."""
-    beta = sample_prior(prior, rng, count)
-    guess = apply_strategy(strategy, sample_heterodyne(beta, rng))
-    return beta, fidelity_kernel(guess, beta)
+def _draw_heterodyne(beta, rng: np.random.Generator, alpha, re, im):
+    """sample_heterodyne into alpha, with the float buffers re and im as
+    scratch."""
+    return np.add(beta, _complex_normal(rng, NOISE_STD, alpha, re, im), out=alpha)
 
 
-def _map_chunks(fn, n: int, workers: int):
+def _round(prior: Prior, strategy: Strategy, rng: np.random.Generator, beta, fid, work):
+    """One measure-and-prepare round per element of beta, on `rng`, as
+    described in simulate: fill beta with the inputs and fid with their
+    fidelities. work holds a complex and two float buffers as long as beta;
+    fid may be the second of them."""
+    alpha, re, im = work
+    _draw_prior(prior, rng, beta, re, im)
+    _draw_heterodyne(beta, rng, alpha, re, im)
+    if isinstance(strategy, Gain):
+        np.multiply(alpha, strategy.g, out=alpha)
+    else:
+        np.multiply(curve_scale(strategy, np.abs(alpha, out=re)), alpha, out=alpha)
+    # A guess far from its input overflows |guess - beta|^2; exp(-inf) = 0 is exact.
+    with np.errstate(over="ignore"):
+        overlap(np.subtract(alpha, beta, out=alpha), out=fid)
+
+
+def _map_chunks(fn, n: int, workers: int, dtypes):
+    """[fn(i, buffers) for each chunk i of the n samples], in chunk order.
+    buffers holds one array of each of `dtypes`, as long as the chunk. Each
+    worker allocates one set for the whole call and takes every workers-th
+    chunk, so no chunk allocates its own."""
     check_count(workers, "workers", 1)
-    tasks = [(i, min(CHUNK_SIZE, n - start)) for i, start in enumerate(range(0, n, CHUNK_SIZE))]
-    if workers == 1 or len(tasks) == 1:
-        return [fn(i, c) for i, c in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: fn(*t), tasks))
+    starts = range(0, n, CHUNK_SIZE)
+    workers = min(workers, len(starts))
+    results = [None] * len(starts)
+
+    def work(first: int):
+        own = [np.empty(min(CHUNK_SIZE, n), dtype) for dtype in dtypes]
+        for i in range(first, len(starts), workers):
+            count = min(CHUNK_SIZE, n - starts[i])
+            results[i] = fn(i, [b[:count] for b in own])
+
+    if workers == 1:
+        work(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(work, w) for w in range(workers)]:
+                future.result()
+    return results
 
 
 def simulate(prior: Prior, strategy: Strategy, n: int, seed: int, workers: int = 1) -> FidelityEstimate:
@@ -111,13 +162,14 @@ def simulate(prior: Prior, strategy: Strategy, n: int, seed: int, workers: int =
     """
     check_count(n, "n", 1)
 
-    def run_chunk(index: int, count: int):
-        _, f = _round(prior, strategy, seeded_stream(seed, index), count)
-        return float(np.sum(f)), float(np.sum(f * f))
+    def run_chunk(index: int, buffers):
+        beta, alpha, f, sq = buffers
+        _round(prior, strategy, seeded_stream(seed, index), beta, f, (alpha, f, sq))
+        return float(np.sum(f)), float(np.sum(np.square(f, out=sq)))
 
     total = 0.0
     total_sq = 0.0
-    for s, s2 in _map_chunks(run_chunk, n, workers):
+    for s, s2 in _map_chunks(run_chunk, n, workers, (complex, complex, float, float)):
         total += s
         total_sq += s2
     mean = total / n
@@ -154,15 +206,15 @@ def generate_dataset(radius: float, n: int, model: Constant | Strategy, seed: in
     beta = np.empty(n, dtype=complex)
     fid = np.empty(n)
 
-    def run_chunk(index: int, count: int):
+    def run_chunk(index: int, work):
         # Chunks write disjoint slices, so workers share the arrays safely.
-        rows = slice(index * CHUNK_SIZE, index * CHUNK_SIZE + count)
+        rows = slice(index * CHUNK_SIZE, index * CHUNK_SIZE + len(work[0]))
         rng = seeded_stream(seed, index)
         if isinstance(model, Constant):
-            beta[rows] = sample_prior(prior, rng, count)
+            _draw_prior(prior, rng, beta[rows], *work[1:])
             fid[rows] = model.value
         else:
-            beta[rows], fid[rows] = _round(prior, model, rng, count)
+            _round(prior, model, rng, beta[rows], fid[rows], work)
 
-    _map_chunks(run_chunk, n, workers)
+    _map_chunks(run_chunk, n, workers, (complex, float, float))
     return Dataset(beta.real, beta.imag, fid)

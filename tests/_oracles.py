@@ -5,7 +5,8 @@ optimization code paths: scipy adaptive quadrature over the Bessel-collapsed
 integrand, dense grid search, and hand-derived closed forms re-stated
 locally. Values frozen into the tests were produced by these oracles.
 The CSV reference is the whole-file line reader that load_dataset's block
-reader replaced.
+reader replaced, and the simulation reference is the round that allocates
+each step's result, which the simulator's in-place chunk buffers replaced.
 """
 
 import math
@@ -15,7 +16,9 @@ import numpy as np
 from scipy import integrate
 from scipy.special import i0e
 
+from telebound.core import Gain, seeded_stream
 from telebound.data import CSV_HEADER, Dataset, DatasetFormatError
+from telebound.simulate import CHUNK_SIZE, NOISE_STD, Constant
 
 
 def avg_fidelity_scipy(radial_density, b_hi, rho_of_a, a_hi):
@@ -163,3 +166,70 @@ def _read_lines(fh) -> Dataset:
     if not re:
         raise DatasetFormatError("dataset has a header but no records")
     return Dataset(np.array(re), np.array(im), np.array(fid))
+
+
+def _prior_draw(prior, rng, size):
+    if prior.radius == math.inf:
+        s = math.sqrt(1.0 / (2.0 * prior.lam))
+        return rng.standard_normal(size) * s + 1j * rng.standard_normal(size) * s
+    u = rng.random(size)
+    if prior.lam == 0.0:
+        r = prior.radius * np.sqrt(u)
+    else:
+        r = np.sqrt(-np.log1p(-u * prior.mass) / prior.lam)
+    theta = 2.0 * np.pi * rng.random(size)
+    return r * np.exp(1j * theta)
+
+
+def _guess(strategy, alpha):
+    if isinstance(strategy, Gain):
+        return strategy.g * alpha
+    r = np.abs(alpha)
+    rs = np.array([p[0] for p in strategy.nodes])
+    rhos = np.array([p[1] for p in strategy.nodes])
+    last_r, last_rho = strategy.nodes[-1]
+    rho = np.where(r > last_r, (last_rho / last_r) * r, np.interp(r, rs, rhos))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0) * alpha
+
+
+def round_allocating(prior, strategy, rng, count):
+    """One chunk of measure-and-prepare rounds, each step allocating its
+    result: prior draw (u, theta), heterodyne noise (re, im), guess, and
+    exp(-|guess - beta|^2). Returns beta and the fidelities."""
+    beta = _prior_draw(prior, rng, count)
+    noise = rng.standard_normal(count) * NOISE_STD + 1j * rng.standard_normal(count) * NOISE_STD
+    guess = _guess(strategy, beta + noise)
+    with np.errstate(over="ignore"):
+        return beta, np.exp(-np.abs(np.subtract(guess, beta)) ** 2)
+
+
+def _chunks(n, seed):
+    for i, start in enumerate(range(0, n, CHUNK_SIZE)):
+        yield seeded_stream(seed, i), min(CHUNK_SIZE, n - start)
+
+
+def simulate_allocating(prior, strategy, n, seed):
+    """(mean, std_error) of simulate, from round_allocating chunk by chunk,
+    summed in chunk order."""
+    total = total_sq = 0.0
+    for rng, count in _chunks(n, seed):
+        f = round_allocating(prior, strategy, rng, count)[1]
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
+    mean = total / n
+    if n == 1:
+        return mean, 0.0
+    return mean, math.sqrt(max(0.0, (total_sq - n * mean * mean) / (n - 1)) / n)
+
+
+def dataset_allocating(prior, n, model, seed):
+    """generate_dataset's columns (beta, fidelity), from round_allocating
+    chunk by chunk."""
+    parts = []
+    for rng, count in _chunks(n, seed):
+        if isinstance(model, Constant):
+            parts.append((_prior_draw(prior, rng, count), np.full(count, model.value)))
+        else:
+            parts.append(round_allocating(prior, model, rng, count))
+    return np.concatenate([b for b, _ in parts]), np.concatenate([f for _, f in parts])

@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +29,10 @@ from telebound import (
 from telebound.quadrature import BetaRule, _i0e
 
 from _oracles import restricted_gain_closed
+
+# The package re-exports names that hide some modules from attribute lookup;
+# import this one by its path.
+quadrature = importlib.import_module("telebound.quadrature")
 
 CURVE = RadialCurve(((0.0, 0.0), (0.8, 0.5), (2.0, 1.1), (4.0, 1.8)))
 
@@ -213,6 +219,43 @@ class TestNumericalBehaviour:
         with pytest.raises(TypeError):
             QuadratureSpec(angular_nodes=64)
         assert QuadratureSpec().angular_nodes == 1
+
+
+class TestKernelBlocks:
+    def test_block_size_moves_no_bit(self, monkeypatch):
+        # einsum sums each row of a block on its own, so neither a result
+        # nor a slice depends on how many rows share a block.
+        lam = 0.05
+        a = np.linspace(0.0, 30.0, 801)
+        rho = 0.8 * a
+        results = []
+        for points in (1 << 10, 1 << 15, 1 << 20):
+            monkeypatch.setattr(quadrature, "_BLOCK_POINTS", points)
+            quad = average_fidelity_quad(GaussianIso(lam), Gain(optimal_gain_gaussian(lam)))
+            slices = BetaRule.for_prior(GaussianIso(lam), QuadratureSpec())(a, rho)
+            results.append((quad, slices.tobytes()))
+        assert results[0] == results[1] == results[2]
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # The kernel is built one block of rows at a time, so a wide prior's
+        # (a, b) grid costs a dozen block arrays at most: less than one
+        # float array over the whole grid, which blocks of 1 << 20 points
+        # held about nine of at this prior.
+        lam = 0.05
+        prior, strategy, spec = GaussianIso(lam), Gain(optimal_gain_gaussian(lam)), QuadratureSpec()
+        fine = BetaRule(prior.radial_density, 0.0, prior.support_radius(spec.truncation_tol / 2.0),
+                        spec, mult=2)
+        a_nodes = math.ceil(fine.a_hi / spec.panel_width) * fine.nodes
+        average_fidelity_quad(prior, strategy, spec)
+        tracemalloc.start()
+        try:
+            average_fidelity_quad(prior, strategy, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids = 8 * 8 * (a_nodes + fine.b.size)
+        assert peak < 12 * 8 * quadrature._BLOCK_POINTS + grids
+        assert peak < 8 * a_nodes * fine.b.size
 
 
 class TestGuessSlice:

@@ -27,6 +27,8 @@ from telebound import (
 )
 from telebound.simulate import CHUNK_SIZE
 
+from _oracles import dataset_allocating, simulate_allocating
+
 # The package re-exports the function `simulate`, which hides the module of
 # the same name from attribute lookup.
 simulate_module = importlib.import_module("telebound.simulate")
@@ -221,6 +223,9 @@ class TestGenerateDataset:
                 b = generate_dataset(1.5, 9 * CHUNK_SIZE + 5, model, seed=9, workers=8)
                 for column in ("beta_re", "beta_im", "fidelity"):
                     assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+            # simulate's workers fill the slots of one result list.
+            a = simulate(UniformDisk(1.5), CURVE, 9 * CHUNK_SIZE + 5, seed=9)
+            assert simulate(UniformDisk(1.5), CURVE, 9 * CHUNK_SIZE + 5, seed=9, workers=8) == a
         finally:
             sys.setswitchinterval(interval)
 
@@ -256,6 +261,59 @@ class TestGenerateDataset:
         for model in (0.5, UniformDisk(1.0)):
             with pytest.raises(TypeError, match="unsupported fidelity model"):
                 generate_dataset(1.0, 10, model, seed=0)
+
+
+class TestInPlaceRounds:
+    """Chunks are drawn and scored in place, in buffers each worker reuses;
+    every bit must match rounds whose steps each allocate their result."""
+
+    @pytest.mark.parametrize("prior", [UniformDisk(2.0), TruncatedGaussian(0.5, 2.0),
+                                       GaussianIso(0.3)], ids=["disk", "truncated", "plane"])
+    @pytest.mark.parametrize("strategy", [Gain(0.6), CURVE], ids=["gain", "curve"])
+    @pytest.mark.parametrize("n", [1, 1000, CHUNK_SIZE, 3 * CHUNK_SIZE + 7])
+    def test_simulate_matches_allocating_rounds(self, prior, strategy, n):
+        expected = [v.hex() for v in simulate_allocating(prior, strategy, n, seed=17)]
+        for workers in (1, 2, 5):
+            est = simulate(prior, strategy, n, seed=17, workers=workers)
+            assert [est.mean.hex(), est.std_error.hex()] == expected
+
+    @pytest.mark.parametrize("model", [Gain(0.6), CURVE, Constant(0.58)],
+                             ids=["gain", "curve", "constant"])
+    @pytest.mark.parametrize("n", [1, 1000, CHUNK_SIZE, 3 * CHUNK_SIZE + 7])
+    def test_generate_matches_allocating_rounds(self, model, n):
+        beta, fid = dataset_allocating(UniformDisk(2.0), n, model, seed=17)
+        for workers in (1, 2, 5):
+            ds = generate_dataset(2.0, n, model, seed=17, workers=workers)
+            assert ds.beta_re.tobytes() == beta.real.tobytes()
+            assert ds.beta_im.tobytes() == beta.imag.tobytes()
+            assert ds.fidelity.tobytes() == fid.tobytes()
+
+    @pytest.mark.parametrize("g", [1.5, 3.0])
+    def test_far_guesses_score_zero_without_a_warning(self, g):
+        # On a disk of radius 1e154 every guess lies far from its input, and
+        # at gain 3 |guess - beta|^2 passes the largest float. The pytest
+        # configuration turns any warning into an error.
+        est = simulate(UniformDisk(1e154), Gain(g), 1000, seed=3)
+        assert (est.mean, est.std_error) == (0.0, 0.0)
+        assert not generate_dataset(1e154, 1000, Gain(g), seed=3).fidelity.any()
+
+    @pytest.mark.parametrize("strategy", [Gain(0.5), CURVE], ids=["gain", "curve"])
+    def test_peak_memory_is_one_buffer_set_per_worker(self, strategy):
+        # Each worker's buffers, two complex and two float arrays of
+        # CHUNK_SIZE, serve all of its chunks, so the peak does not grow
+        # with the chunk count. A curve adds its interpolation per chunk.
+        simulate(UniformDisk(2.0), strategy, 2 * CHUNK_SIZE, seed=1, workers=2)
+        peaks = []
+        for chunks in (2, 8):
+            tracemalloc.start()
+            try:
+                simulate(UniformDisk(2.0), strategy, chunks * CHUNK_SIZE, seed=1, workers=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        complex_chunk = 16 * CHUNK_SIZE
+        assert abs(peaks[1] - peaks[0]) < complex_chunk
+        assert max(peaks) < 2 * 4 * complex_chunk
 
 
 class TestOneChunk:
