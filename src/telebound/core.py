@@ -16,6 +16,10 @@ sampler, the quadrature cuts and bounds.truncated_gain_fidelity read these.
 prior.support_radius(tail), the radius holding all but `tail` of the
 prior's own mass, is the one cut that the quadrature and the optimizer read.
 
+A strategy applies itself: guess_factor(alpha, out) is the real factor that
+takes outcomes to their guesses and kinks the radii where the guess modulus
+bends, so no other module asks whether it holds a Gain or a RadialCurve.
+
 seeded_stream(seed, i), a Philox generator on SeedSequence(seed,
 spawn_key=(i,)), is the one random stream: simulation chunk i draws stream i
 and the bootstrap draws stream 0.
@@ -32,7 +36,6 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "ComplexAmp",
     "GaussianIso",
     "UniformDisk",
     "TruncatedGaussian",
@@ -44,10 +47,6 @@ __all__ = [
     "tail_mass",
     "apply_strategy",
 ]
-
-# A coherent-state amplitude is just a point in the complex plane.
-ComplexAmp = complex
-
 
 def check_positive(value: float, name: str, zero_ok: bool = False) -> None:
     """Raise ValueError, naming `name` and `value`, unless value is finite
@@ -148,7 +147,7 @@ class TruncatedGaussian:
         """Mass of (lam/pi) exp(-lam |beta|^2) inside the disk: disk_mass."""
         return disk_mass(self.lam, self.radius)
 
-    def density(self, beta: ComplexAmp) -> float:
+    def density(self, beta: complex) -> float:
         """Density at the amplitude `beta`: radial_density(|beta|)."""
         return float(self.radial_density(abs(_require_finite(beta, "beta"))))
 
@@ -206,11 +205,19 @@ class Gain:
 
     g: float
 
+    # The guess modulus is linear in |alpha|: nothing for a radial rule to split at.
+    kinks = ()
+
     def __post_init__(self):
         check_positive(self.g, "g", zero_ok=True)
 
     def guess_radius(self, r: np.ndarray) -> np.ndarray:
         return self.g * np.asarray(r, dtype=float)
+
+    def guess_factor(self, alpha, out):
+        """The real factor taking outcomes alpha to their guesses: g. The
+        float buffer out is not used."""
+        return self.g
 
 
 @dataclass(frozen=True)
@@ -249,6 +256,19 @@ class RadialCurve:
         last_r, last_rho = self.nodes[-1]
         return np.multiply(last_rho / last_r, r, out=out, where=r > last_r)
 
+    @property
+    def kinks(self) -> tuple:
+        """The node radii, where the guess modulus has its kinks."""
+        return tuple(r for r, _ in self.nodes)
+
+    def guess_factor(self, alpha, out):
+        """The real factor taking outcomes alpha to their guesses: the guess
+        modulus over |alpha|, written into out, a float buffer of alpha's
+        shape, and returned. The origin keeps the factor 0."""
+        r = np.abs(alpha, out=out)
+        # Where r is 0 the division is skipped and r keeps its 0.
+        return np.divide(self.guess_radius(r), r, out=r, where=r > 0.0)
+
 
 Strategy = Union[Gain, RadialCurve]
 
@@ -258,23 +278,9 @@ def apply_strategy(strategy: Strategy, alpha):
 
     The guess keeps the direction of alpha; its modulus is the strategy's
     radial profile evaluated at |alpha|. The origin maps to the origin. A
-    scalar alpha gives a complex; an array gives an array of its shape.
+    scalar alpha gives a complex; an array gives an array of its shape. A
+    non-finite alpha, or array element, raises ValueError.
     """
-    scalar = np.ndim(alpha) == 0
-    a = complex(_require_finite(alpha, "alpha")) if scalar else np.asarray(alpha)
-    if isinstance(strategy, Gain):
-        out = strategy.g * a
-    else:
-        # Built-in abs: Python's for a scalar, np.abs for an array. The two
-        # can differ in the last bit, and each path keeps its own.
-        out = curve_scale(strategy, np.asarray(abs(a), dtype=float)) * a
-    return complex(out) if scalar else out
-
-
-def curve_scale(curve: RadialCurve, r: np.ndarray) -> np.ndarray:
-    """Overwrite the outcome moduli r, a float array, with the curve's guess
-    modulus over r, and return r: the factor that takes an outcome to its
-    guess. The origin keeps the factor 0."""
-    rho = curve.guess_radius(r)
-    # Where r is 0 the division is skipped and r keeps its 0.
-    return np.divide(rho, r, out=r, where=r > 0.0)
+    a = np.asarray(_require_finite(alpha, "alpha"))
+    guess = a * strategy.guess_factor(a, np.empty(a.shape))
+    return complex(guess) if guess.ndim == 0 else guess

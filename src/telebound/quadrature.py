@@ -47,8 +47,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import bounds
-from .core import (Gain, GaussianIso, Prior, RadialCurve, Strategy, check_count,
-                   check_positive, tail_mass)
+from .core import Gain, GaussianIso, Prior, Strategy, check_count, check_positive, tail_mass
 
 __all__ = [
     "QuadratureSpec",
@@ -56,7 +55,6 @@ __all__ = [
     "average_fidelity_quad",
     "restricted_fidelity_quad",
     "decomposition_residual",
-    "guess_slice_quad",
 ]
 
 # Whole-plane Gaussian priors flatter than this make the alpha integral
@@ -190,12 +188,6 @@ def _panel_rule(lo: float, hi: float, spec: QuadratureSpec, nodes: int, breaks=(
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
-
-
-def _strategy_breaks(strategy: Strategy):
-    if isinstance(strategy, RadialCurve):
-        return tuple(r for r, _ in strategy.nodes)
-    return ()
 
 
 def _alpha_cut(spec: QuadratureSpec, b_max: float) -> float:
@@ -380,19 +372,8 @@ class BetaRule:
         return 2.0 * sums.reshape(a.shape)
 
     def average(self, strategy: Strategy) -> float:
-        a, a_w = _panel_rule(0.0, self.a_hi, self.spec, self.nodes,
-                             breaks=_strategy_breaks(strategy))
+        a, a_w = _panel_rule(0.0, self.a_hi, self.spec, self.nodes, breaks=strategy.kinks)
         if a.size == 0 or self.b.size == 0:
             return 0.0
         return 2.0 * np.pi * float(np.dot(a_w * a, self(a, strategy.guess_radius(a))))
 
-
-def guess_slice_quad(prior: Prior, outcome_radius: float, guess_radius: float,
-                     spec: Optional[QuadratureSpec] = None) -> float:
-    """Expected fidelity contribution of a single outcome at `outcome_radius`
-    when the guess lies on the same ray at `guess_radius`."""
-    check_positive(outcome_radius, "outcome_radius", zero_ok=True)
-    check_positive(guess_radius, "guess_radius", zero_ok=True)
-    if spec is None:
-        spec = QuadratureSpec()
-    return float(BetaRule.for_prior(prior, spec)(outcome_radius, guess_radius))

@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
-from .core import (Gain, Prior, RadialCurve, Strategy, UniformDisk, check_count,
-                   check_positive, curve_scale, overlap, seeded_stream)
+from .core import (Prior, Strategy, UniformDisk, check_count, check_positive, overlap,
+                   seeded_stream)
 from .data import Dataset
 
 __all__ = [
@@ -120,10 +120,7 @@ def _round(prior: Prior, strategy: Strategy, rng: np.random.Generator, beta, fid
     alpha, re, im = work
     _draw_prior(prior, rng, beta, re, im)
     _draw_heterodyne(beta, rng, alpha, re, im)
-    if isinstance(strategy, Gain):
-        np.multiply(alpha, strategy.g, out=alpha)
-    else:
-        np.multiply(curve_scale(strategy, np.abs(alpha, out=re)), alpha, out=alpha)
+    np.multiply(alpha, strategy.guess_factor(alpha, re), out=alpha)
     # A guess far from its input overflows |guess - beta|^2; exp(-inf) = 0 is exact.
     with np.errstate(over="ignore"):
         overlap(np.subtract(alpha, beta, out=alpha), out=fid)
@@ -200,7 +197,7 @@ def generate_dataset(radius: float, n: int, model: Constant | Strategy, seed: in
     simulate. Deterministic for fixed (radius, n, model, seed)."""
     check_positive(radius, "radius")
     check_count(n, "n", 1)
-    if not isinstance(model, (Constant, Gain, RadialCurve)):
+    if not isinstance(model, (Constant, *get_args(Strategy))):
         raise TypeError(f"unsupported fidelity model: {model!r}")
     prior = UniformDisk(radius)
     beta = np.empty(n, dtype=complex)

@@ -249,6 +249,21 @@ class TestApplyStrategy:
         rhs = rot * apply_strategy(strategy, alpha)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("strategy", [Gain(0.45), RadialCurve(((0.0, 0.0), (1.0, 0.6), (3.0, 1.2)))])
+    def test_arrays_equal_elementwise_scalar_calls(self, strategy):
+        rng = np.random.default_rng(7)
+        alpha = rng.normal(size=(4, 25, 2)) @ np.array([2.0, 2j])
+        out = apply_strategy(strategy, alpha)
+        assert out.shape == alpha.shape and type(apply_strategy(strategy, alpha[0, 0])) is complex
+        assert np.array_equal(out, [[apply_strategy(strategy, a) for a in row] for row in alpha])
+
+    @pytest.mark.parametrize("strategy", [Gain(0.5), RadialCurve(((0.0, 0.0), (1.0, 0.6)))])
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.inf)])
+    def test_rejects_non_finite_scalars_and_elements(self, strategy, bad):
+        for alpha in (bad, np.array([bad, 1 + 1j])):
+            with pytest.raises(ValueError, match="^alpha must be finite"):
+                apply_strategy(strategy, alpha)
+
     def test_curve_validation(self):
         with pytest.raises(ValueError):
             RadialCurve(((0.5, 0.1), (1.0, 0.2)))  # must start at 0

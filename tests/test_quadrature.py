@@ -19,7 +19,6 @@ from telebound import (
     decomposition_residual,
     disk_gain_fidelity,
     gaussian_gain_fidelity,
-    guess_slice_quad,
     optimal_gain_gaussian,
     restricted_fidelity_quad,
     select_lambda,
@@ -266,33 +265,28 @@ class TestGuessSlice:
         ref, _ = integrate.quad(
             lambda b: b * p * np.exp(-(a - b) ** 2 - (rho - b) ** 2) * i0e(2 * (a + rho) * b),
             0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
-        assert guess_slice_quad(prior, a, rho) == pytest.approx(2.0 * ref, rel=1e-9)
+        assert BetaRule.for_prior(prior, QuadratureSpec())(a, rho) == pytest.approx(2.0 * ref, rel=1e-9)
 
     def test_matches_gaussian_closed_form(self):
         lam, a, rho = 1.0, 1.5, 0.75
         closed = (lam / (np.pi * (lam + 2.0))) * math.exp((a + rho) ** 2 / (lam + 2.0) - a * a - rho * rho)
-        assert guess_slice_quad(GaussianIso(lam), a, rho) == pytest.approx(closed, rel=1e-9)
+        slice_ = BetaRule.for_prior(GaussianIso(lam), QuadratureSpec())(a, rho)
+        assert slice_ == pytest.approx(closed, rel=1e-9)
 
     @pytest.mark.parametrize("prior", [UniformDisk(1.0), GaussianIso(0.05), TruncatedGaussian(0.5, 3.0)])
     def test_batched_slices_equal_scalar_calls(self, prior):
         a = np.linspace(0.0, 6.0, 7)[:, None]
         rho = np.linspace(0.0, 5.0, 11)[None, :]
-        batched = BetaRule.for_prior(prior, QuadratureSpec())(a, rho)
+        rule = BetaRule.for_prior(prior, QuadratureSpec())
+        batched = rule(a, rho)
         assert batched.shape == (7, 11)
         for i, j in np.ndindex(batched.shape):
-            assert batched[i, j] == guess_slice_quad(prior, a[i, 0], rho[0, j])
-
-    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
-    def test_rejects_bad_radii(self, bad):
-        with pytest.raises(ValueError, match="outcome_radius"):
-            guess_slice_quad(UniformDisk(1.0), bad, 0.5)
-        with pytest.raises(ValueError, match="guess_radius"):
-            guess_slice_quad(UniformDisk(1.0), 0.5, bad)
+            assert batched[i, j] == rule(a[i, 0], rho[0, j])
 
     def test_slice_consistent_with_full_average(self):
         # integrating the slice over outcomes reproduces the full value
         prior, g = UniformDisk(1.0), 0.36
         grid = np.linspace(0.0, 9.0, 1801)
-        s = np.array([guess_slice_quad(prior, a, g * a) for a in grid])
+        s = BetaRule.for_prior(prior, QuadratureSpec())(grid, g * grid)
         total = 2.0 * np.pi * np.trapezoid(grid * s, grid)
         assert total == pytest.approx(disk_gain_fidelity(1.0, g), abs=5e-6)

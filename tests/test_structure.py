@@ -69,6 +69,24 @@ def test_random_streams_are_built_only_by_seeded_stream():
     assert found == []
 
 
+def test_only_core_tests_a_strategy_type():
+    # A strategy carries its guess factor and kinks, so no other module has
+    # to ask which one it holds; the closed form for a gain is the exception.
+    found = []
+    for path in MODULES:
+        if path.stem == "core":
+            continue
+        for func, call in _nodes(_tree(path), ast.Call):
+            if getattr(call.func, "id", None) not in ("isinstance", "issubclass") or len(call.args) != 2:
+                continue
+            for node in ast.walk(call.args[1]):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name in ("Gain", "RadialCurve") and (path.stem, func, name) != (
+                        "quadrature", "decomposition_residual", "Gain"):
+                    found.append(f"{path.name}:{call.lineno} tests {name} in {func}")
+    assert found == []
+
+
 def test_text_is_decoded_once_with_surrogateescape():
     # A byte that is not UTF-8 must reach the reader, which names its line
     # with data.utf8_error; no read may fail inside the codec.
