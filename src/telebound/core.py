@@ -22,7 +22,11 @@ bends, so no other module asks whether it holds a Gain or a RadialCurve.
 
 seeded_stream(seed, i), a Philox generator on SeedSequence(seed,
 spawn_key=(i,)), is the one random stream: simulation chunk i draws stream i
-and the bootstrap draws stream 0.
+and the bootstrap draws stream 0. A simulation chunk reads each uniform
+segment of its stream through its own copy of stream i, moved to the
+segment's start: Philox makes four 64-bit draws per counter step and a
+uniform double takes one, so advance(k // 4) and then k % 4 raw draws pass
+k doubles.
 """
 
 from __future__ import annotations
@@ -247,12 +251,13 @@ class RadialCurve:
             raise ValueError("RadialCurve node radii must be strictly increasing")
         if any(rho < 0.0 for rho in rhos):
             raise ValueError("RadialCurve guess radii must be >= 0")
+        # guess_radius interpolates on these for every block of outcomes.
+        object.__setattr__(self, "_radii", np.array(rs))
+        object.__setattr__(self, "_guesses", np.array(rhos))
 
     def guess_radius(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        rs = np.array([p[0] for p in self.nodes])
-        rhos = np.array([p[1] for p in self.nodes])
-        out = np.asarray(np.interp(r, rs, rhos))
+        out = np.asarray(np.interp(r, self._radii, self._guesses))
         last_r, last_rho = self.nodes[-1]
         return np.multiply(last_rho / last_r, r, out=out, where=r > last_r)
 

@@ -31,6 +31,9 @@ __all__ = [
 # headroom exists so a runaway optimizer trips the property tests.
 GAIN_SEARCH_MAX = 1.5
 
+# optimize_guess_curve's sweep cap, which classical_bound_estimate keeps.
+_MAX_SWEEPS = 12
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -139,7 +142,7 @@ def _curve_node_radii(prior: Prior, n_nodes: int) -> np.ndarray:
 
 def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
                          spec: Optional[QuadratureSpec] = None,
-                         max_sweeps: int = 12) -> OptimizationReport:
+                         max_sweeps: int = _MAX_SWEEPS) -> OptimizationReport:
     """Best tabulated radial guess curve for `prior`.
 
     Coordinate ascent over the node guess radii. Each sweep maximizes the
@@ -150,12 +153,23 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     stop once the improvement drops to tol. Raises ConvergenceError with the
     best report so far if the sweep cap is hit first.
     """
+    _check_curve_search(prior, n_nodes, tol, max_sweeps)
+    return _ascend_curve(prior, optimize_gain(prior, tol=min(tol, 1e-6)), n_nodes, tol, spec,
+                         max_sweeps)
+
+
+def _check_curve_search(prior: Prior, n_nodes: int, tol: float, max_sweeps: int) -> None:
     check_count(n_nodes, "n_nodes", 4)
     check_count(max_sweeps, "max_sweeps", 1)
     check_positive(tol, "tol")
     if prior.support_radius(1e-4) <= 1e-6:
         raise ValueError(f"prior support is degenerate: {prior!r}")
 
+
+def _ascend_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int, tol: float,
+                  spec: Optional[QuadratureSpec], max_sweeps: int) -> OptimizationReport:
+    """optimize_guess_curve's ascent, started from gain_report, the best
+    gain for `prior` at tol min(tol, 1e-6), on arguments already checked."""
     radii = _curve_node_radii(prior, n_nodes)
     if spec is None:
         spec = QuadratureSpec()
@@ -168,11 +182,8 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     def slices(rho: np.ndarray) -> np.ndarray:
         return rule(r, rho)
 
-    evals = 0
-
     # Start from the best plain gain; the curve family contains it exactly.
-    gain_report = optimize_gain(prior, tol=min(tol, 1e-6))
-    evals += gain_report.evaluations
+    evals = gain_report.evaluations
     guesses = gain_report.best_strategy.g * radii
 
     best_curve = RadialCurve(tuple(zip(radii, guesses)))
@@ -217,7 +228,9 @@ def classical_bound_estimate(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     coherent states.
     """
     gain_report = optimize_gain(prior, tol=min(tol, 1e-6))
-    curve_report = optimize_guess_curve(prior, n_nodes=n_nodes, tol=tol, spec=spec)
+    _check_curve_search(prior, n_nodes, tol, _MAX_SWEEPS)
+    # The curve ascent starts from the same gain report, computed once.
+    curve_report = _ascend_curve(prior, gain_report, n_nodes, tol, spec, _MAX_SWEEPS)
     # On a tie max keeps the first report, the gain.
     best = max(gain_report, curve_report, key=lambda report: report.best_value)
     return BoundResult(value=best.best_value, prior=repr(prior), strategy=best.best_strategy)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -190,3 +191,22 @@ class TestClassicalBoundEstimate:
         for lam in (0.5, 1.0, 2.0):
             result = classical_bound_estimate(GaussianIso(lam))
             assert result.value <= gaussian_bound(lam) + 1e-6
+
+    def test_gain_is_optimized_once(self, monkeypatch):
+        # The curve ascent starts from the bound's own gain report; the
+        # result keeps the bits of the two public searches run apart.
+        prior = TruncatedGaussian(1.0, 2.0)
+        gain = optimize_gain(prior, tol=1e-6)
+        curve = optimize_guess_curve(prior)
+        module = importlib.import_module("telebound.optimize")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return optimize_gain(*args, **kwargs)
+
+        monkeypatch.setattr(module, "optimize_gain", counted)
+        result = classical_bound_estimate(prior)
+        assert len(calls) == 1
+        best = max(gain, curve, key=lambda report: report.best_value)
+        assert (result.value.hex(), result.strategy) == (best.best_value.hex(), best.best_strategy)

@@ -25,7 +25,7 @@ from telebound import (
     truncated_gain_fidelity,
     weighted_fidelity,
 )
-from telebound.simulate import CHUNK_SIZE
+from telebound.simulate import BLOCK_SIZE, CHUNK_SIZE
 
 from _oracles import dataset_allocating, simulate_allocating
 
@@ -270,7 +270,9 @@ class TestInPlaceRounds:
     @pytest.mark.parametrize("prior", [UniformDisk(2.0), TruncatedGaussian(0.5, 2.0),
                                        GaussianIso(0.3)], ids=["disk", "truncated", "plane"])
     @pytest.mark.parametrize("strategy", [Gain(0.6), CURVE], ids=["gain", "curve"])
-    @pytest.mark.parametrize("n", [1, 1000, CHUNK_SIZE, 3 * CHUNK_SIZE + 7])
+    # A chunk of count rounds reads its angles and its noise through cursors
+    # at count and 2 count draws: the lengths cover every remainder mod 4.
+    @pytest.mark.parametrize("n", [1, 1000, CHUNK_SIZE, CHUNK_SIZE + 2, 3 * CHUNK_SIZE + 7])
     def test_simulate_matches_allocating_rounds(self, prior, strategy, n):
         expected = [v.hex() for v in simulate_allocating(prior, strategy, n, seed=17)]
         for workers in (1, 2, 5):
@@ -279,7 +281,7 @@ class TestInPlaceRounds:
 
     @pytest.mark.parametrize("model", [Gain(0.6), CURVE, Constant(0.58)],
                              ids=["gain", "curve", "constant"])
-    @pytest.mark.parametrize("n", [1, 1000, CHUNK_SIZE, 3 * CHUNK_SIZE + 7])
+    @pytest.mark.parametrize("n", [1, 1000, CHUNK_SIZE, CHUNK_SIZE + 2, 3 * CHUNK_SIZE + 7])
     def test_generate_matches_allocating_rounds(self, model, n):
         beta, fid = dataset_allocating(UniformDisk(2.0), n, model, seed=17)
         for workers in (1, 2, 5):
@@ -299,9 +301,11 @@ class TestInPlaceRounds:
 
     @pytest.mark.parametrize("strategy", [Gain(0.5), CURVE], ids=["gain", "curve"])
     def test_peak_memory_is_one_buffer_set_per_worker(self, strategy):
-        # Each worker's buffers, two complex and two float arrays of
-        # CHUNK_SIZE, serve all of its chunks, so the peak does not grow
-        # with the chunk count. A curve adds its interpolation per chunk.
+        # Each worker's buffers, one float chunk and one block set (two
+        # complex and two float arrays of BLOCK_SIZE), serve all of its
+        # chunks, so the peak does not grow with the chunk count. One more
+        # block set covers the ufuncs' cast buffers and a curve's
+        # interpolation per block.
         simulate(UniformDisk(2.0), strategy, 2 * CHUNK_SIZE, seed=1, workers=2)
         peaks = []
         for chunks in (2, 8):
@@ -311,9 +315,9 @@ class TestInPlaceRounds:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        complex_chunk = 16 * CHUNK_SIZE
-        assert abs(peaks[1] - peaks[0]) < complex_chunk
-        assert max(peaks) < 2 * 4 * complex_chunk
+        block_set = 48 * BLOCK_SIZE
+        assert abs(peaks[1] - peaks[0]) < block_set
+        assert max(peaks) < 2 * (8 * CHUNK_SIZE + block_set) + block_set
 
 
 class TestOneChunk:
