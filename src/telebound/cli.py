@@ -21,7 +21,7 @@ import sys
 
 from .bounds import gaussian_bound
 from .certify import verdict
-from .core import Gain, GaussianIso, Prior, RadialCurve, Strategy, TruncatedGaussian, UniformDisk
+from .core import Gain, GaussianIso, Prior, RadialCurve, TruncatedGaussian, UniformDisk
 from .data import DatasetFormatError, load_dataset, utf8_error, write_dataset
 from .optimize import ConvergenceError, optimize_gain, optimize_guess_curve
 from .quadrature import QuadratureSpec, average_fidelity_quad
@@ -95,12 +95,6 @@ def _load_curve(path: str) -> RadialCurve:
     raise ValueError(f"{path}: {reason}")
 
 
-def _strategy_from_args(args) -> Strategy:
-    if args.curve is not None:
-        return _load_curve(args.curve)
-    return Gain(args.gain)
-
-
 def _print_rows(rows) -> None:
     width = max(len(k) for k, _ in rows)
     for key, value in rows:
@@ -122,7 +116,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_quad(args) -> int:
     prior = _parse_prior(args.prior)
-    strategy = _strategy_from_args(args)
+    strategy = _parse_model(args.model)
     tol = {} if args.tol is None else {"truncation_tol": args.tol}
     result = average_fidelity_quad(prior, strategy, QuadratureSpec(**tol))
     _print_rows([("value", f"{result.value:.12f}"),
@@ -154,7 +148,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     prior = _parse_prior(args.prior)
-    strategy = _strategy_from_args(args)
+    strategy = _parse_model(args.model)
     est = simulate(prior, strategy, args.n, args.seed, workers=args.workers)
     _print_rows([("mean_fidelity", f"{est.mean:.9f}"),
                  ("std_error", f"{est.std_error:.3e}"),
@@ -199,6 +193,16 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
+    # The flags spell generate's gain:G and curve:FILE, so one parser,
+    # _parse_model, builds every command's strategy.
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--gain", dest="model", type="gain:{}".format, metavar="GAIN",
+                       help="gain strategy")
+    group.add_argument("--curve", dest="model", type="curve:{}".format, metavar="CURVE",
+                       help="file of 'radius,guess_radius' curve nodes")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="telebound",
                                      description="Classical fidelity bounds and certification "
@@ -213,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quad", help="average fidelity by quadrature")
     p.add_argument("--prior", required=True, help="gaussian:LAM | disk:R | truncgauss:LAM,R")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gain", type=float, help="gain strategy")
-    group.add_argument("--curve", help="file of 'radius,guess_radius' curve nodes")
+    _add_strategy_flags(p)
     p.add_argument("--tol", type=float, default=None, help="truncation tolerance")
     p.set_defaults(func=_cmd_quad)
 
@@ -228,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo average fidelity")
     p.add_argument("--prior", required=True, help="gaussian:LAM | disk:R | truncgauss:LAM,R")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gain", type=float, help="gain strategy")
-    group.add_argument("--curve", help="file of curve nodes")
+    _add_strategy_flags(p)
     p.add_argument("-n", type=int, required=True, help="sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)

@@ -7,19 +7,19 @@ measured for it. The on-disk format is a plain CSV file:
     0.25,-1.125,0.58
     ...
 
-decimal-point reals, UTF-8, LF or CRLF line endings (a bare CR also ends a
-line).
+decimal-point reals, UTF-8, LF, CRLF or bare-CR line endings.
 
 load_dataset reads a file or a pipe once, in blocks of whole lines, and
 parses each block with one orjson call into three columns. A block whose
-every line is three JSON numbers padded with spaces or tabs, ending in LF
-or CRLF, with no integer 0 (JSON reads -0 as 0, float() as -0.0) and values
-that Dataset accepts, stays with orjson. Any other block is parsed line by
-line, which names the offending line, and the next block goes to orjson
-again. Both give the same values. The columns are sized from the file size
-and the first block's bytes per line, grown in place when that falls short
-(a pipe reports size 0) and trimmed at the end. A byte that is not UTF-8 is
-named by its line, before any other defect in the file.
+every line is three JSON numbers padded with spaces or tabs, ending in LF,
+CRLF or a bare CR, with no integer 0 (JSON reads -0 as 0, float() as
+-0.0) and values that Dataset accepts, stays with orjson. Any other block
+is parsed line by line, which names the offending line, and the next block
+goes to orjson again. Both give the same values. The columns are sized
+from the file size and the first block's bytes per line, grown in place
+when that falls short (a pipe reports size 0) and trimmed at the end. A
+byte that is not UTF-8 is named by its line, before any other defect in
+the file.
 
 write_dataset's bytes equal those of a per-row writer joining repr(value).
 It writes CHUNK_SIZE rows at a time: orjson dumps the values of the rows
@@ -150,12 +150,16 @@ def _parse_block(block: bytes) -> Optional[np.ndarray]:
     import orjson  # here, not at module level: `import telebound` stays lean
 
     if b"\r" in block:  # a byte scan, far cheaper than searching for CRLF
-        block = block.replace(b"\r\n", b"\n")
+        # CRLF, then a bare CR, ends a line, as in bytes.splitlines; JSON
+        # would read a CR as space. The CRLF search is slow on a block dense
+        # with CRs, so a block with no LF, and so no CRLF, skips it.
+        if b"\n" in block:
+            block = block.replace(b"\r\n", b"\n")
+        block = block.replace(b"\r", b"\n")
     if not block.endswith(b"\n"):
         block += b"\n"
     # Without its field bytes, each line must be exactly ",,\n". Any other
-    # byte is left over and fails the comparison: a bare CR, which ends a
-    # line in CSV but is space to JSON, and any non-ASCII byte.
+    # byte is left over and fails the comparison, such as a non-ASCII byte.
     separators = block.translate(None, _FIELD_BYTES)
     lines = len(separators) // 3
     if separators != b",,\n" * lines:

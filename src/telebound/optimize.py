@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,7 +30,7 @@ __all__ = [
 # headroom exists so a runaway optimizer trips the property tests.
 GAIN_SEARCH_MAX = 1.5
 
-# optimize_guess_curve's sweep cap, which classical_bound_estimate keeps.
+# The guess-curve ascent's sweep cap.
 _MAX_SWEEPS = 12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -140,9 +139,7 @@ def _curve_node_radii(prior: Prior, n_nodes: int) -> np.ndarray:
     return np.linspace(0.0, reach, n_nodes)
 
 
-def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
-                         spec: Optional[QuadratureSpec] = None,
-                         max_sweeps: int = _MAX_SWEEPS) -> OptimizationReport:
+def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3) -> OptimizationReport:
     """Best tabulated radial guess curve for `prior`.
 
     Coordinate ascent over the node guess radii. Each sweep maximizes the
@@ -153,31 +150,27 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     stop once the improvement drops to tol. Raises ConvergenceError with the
     best report so far if the sweep cap is hit first.
     """
-    _check_curve_search(prior, n_nodes, tol, max_sweeps)
-    return _ascend_curve(prior, optimize_gain(prior, tol=min(tol, 1e-6)), n_nodes, tol, spec,
-                         max_sweeps)
+    _check_curve_search(prior, n_nodes, tol)
+    return _ascend_curve(prior, optimize_gain(prior, tol=min(tol, 1e-6)), n_nodes, tol)
 
 
-def _check_curve_search(prior: Prior, n_nodes: int, tol: float, max_sweeps: int) -> None:
+def _check_curve_search(prior: Prior, n_nodes: int, tol: float) -> None:
     check_count(n_nodes, "n_nodes", 4)
-    check_count(max_sweeps, "max_sweeps", 1)
     check_positive(tol, "tol")
     if prior.support_radius(1e-4) <= 1e-6:
         raise ValueError(f"prior support is degenerate: {prior!r}")
 
 
-def _ascend_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int, tol: float,
-                  spec: Optional[QuadratureSpec], max_sweeps: int) -> OptimizationReport:
+def _ascend_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int,
+                  tol: float) -> OptimizationReport:
     """optimize_guess_curve's ascent, started from gain_report, the best
     gain for `prior` at tol min(tol, 1e-6), on arguments already checked."""
     radii = _curve_node_radii(prior, n_nodes)
-    if spec is None:
-        spec = QuadratureSpec()
 
     # The first node sits at the origin, where the best guess is the origin;
     # the other nodes' slices are independent, so they are searched together.
     r = radii[1:]
-    rule = BetaRule.for_prior(prior, spec)
+    rule = BetaRule.for_prior(prior, QuadratureSpec())
 
     def slices(rho: np.ndarray) -> np.ndarray:
         return rule(r, rho)
@@ -192,7 +185,7 @@ def _ascend_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int, t
 
     gap = math.inf
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         hi = np.maximum(GAIN_SEARCH_MAX * r, guesses[1:] + 1.0)
         lo_b, hi_b, grid_evals = _grid_bracket(slices, np.zeros_like(hi), hi, n=25)
         rho_star, _, ev, _ = _golden_max(slices, lo_b, hi_b, tol * 1e-2)
@@ -212,13 +205,12 @@ def _ascend_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int, t
                                 evaluations=evals, convergence_gap=abs(gap), converged=converged)
     if not converged:
         raise ConvergenceError(
-            f"guess-curve ascent did not settle within {max_sweeps} sweeps "
+            f"guess-curve ascent did not settle within {_MAX_SWEEPS} sweeps "
             f"(last improvement {gap:.3e})", report)
     return report
 
 
-def classical_bound_estimate(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
-                             spec: Optional[QuadratureSpec] = None) -> BoundResult:
+def classical_bound_estimate(prior: Prior, n_nodes: int = 8, tol: float = 1e-3) -> BoundResult:
     """Best known classical average fidelity for `prior` within the
     implemented families: the larger of the gain optimum and the guess-curve
     optimum.
@@ -228,9 +220,9 @@ def classical_bound_estimate(prior: Prior, n_nodes: int = 8, tol: float = 1e-3,
     coherent states.
     """
     gain_report = optimize_gain(prior, tol=min(tol, 1e-6))
-    _check_curve_search(prior, n_nodes, tol, _MAX_SWEEPS)
+    _check_curve_search(prior, n_nodes, tol)
     # The curve ascent starts from the same gain report, computed once.
-    curve_report = _ascend_curve(prior, gain_report, n_nodes, tol, spec, _MAX_SWEEPS)
+    curve_report = _ascend_curve(prior, gain_report, n_nodes, tol)
     # On a tie max keeps the first report, the gain.
     best = max(gain_report, curve_report, key=lambda report: report.best_value)
     return BoundResult(value=best.best_value, prior=repr(prior), strategy=best.best_strategy)

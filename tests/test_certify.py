@@ -141,6 +141,8 @@ class TestLoadDataset:
         pytest.param(_HEADER + "0.5,-0.25,0.9\n1.0,0.0,0.8\n", True, id="lf-float"),
         pytest.param(_HEADER.replace("\n", "\r\n") + "0.5,-0.25,0.9\r\n1.0,0.0,0.8\r\n", True,
                      id="crlf-float"),
+        pytest.param(_HEADER.replace("\n", "\r") + "0.5,-0.25,0.9\r1.0,0.0,0.8\r", True,
+                     id="bare-cr-float"),
         pytest.param(_HEADER + "0.5,-0.25,0.9\n1.0,0.0,0.8", True, id="no-final-newline-float"),
     ])
     def test_bulk_parse_matches_line_reader(self, tmp_path, monkeypatch, text, fast):
@@ -330,8 +332,8 @@ class TestLoadDataset:
     @pytest.mark.parametrize("block_size", [None, 97])
     @pytest.mark.parametrize("line_end", ["crlf", "bare-cr"])
     def test_line_ends_across_blocks(self, tmp_path, monkeypatch, line_end, block_size):
-        # About 160 KB: several blocks at the default size too. A CRLF file
-        # stays on the fast path; one bare CR in a middle block leaves it.
+        # About 160 KB: several blocks at the default size too. A CRLF file,
+        # and one with a bare CR in a middle block, stay on the fast path.
         rng = np.random.default_rng(8)
         n = 3_000
         ds = Dataset(rng.normal(size=n), rng.normal(size=n), rng.random(n))
@@ -347,8 +349,7 @@ class TestLoadDataset:
             expected = _read_lines(fh)
         if block_size is not None:
             monkeypatch.setattr("telebound.data.BLOCK_SIZE", block_size)
-        if line_end == "crlf":
-            monkeypatch.setattr("telebound.data._parse_lines", None)
+        monkeypatch.setattr("telebound.data._parse_lines", None)
         got = load_dataset(path)
         for column in ("beta_re", "beta_im", "fidelity"):
             a, b = getattr(got, column), getattr(expected, column)

@@ -122,12 +122,18 @@ class TestQuad:
         ("1,0\n2,1\n", 1),
     ], ids=["one-field", "nan-radius", "falling-radius", "negative-guess", "no-origin"])
     def test_malformed_curve_file(self, capsys, tmp_path, text, line):
-        # RadialCurve's rules are named at the first node that breaks one.
+        # RadialCurve's rules are named at the first node that breaks one,
+        # by the one parser every command's strategy goes through.
         path = tmp_path / "curve.txt"
         path.write_text(text)
-        code, _, err = run(capsys, "quad", "--prior", "disk:1", "--curve", str(path))
-        assert code == 2
-        assert err.startswith(f"error: {path}:{line}: ")
+        for command in [("quad", "--prior", "disk:1", "--curve", str(path)),
+                        ("simulate", "--prior", "disk:1", "-n", "10", "--curve", str(path)),
+                        ("generate", "--radius", "1", "-n", "10", "-o", f"{path}.csv",
+                         "--model", f"curve:{path}")]:
+            code, out, err = run(capsys, *command)
+            assert (code, out) == (2, ""), command[0]
+            assert err.startswith(f"error: {path}:{line}: "), command[0]
+        assert not (tmp_path / "curve.txt.csv").exists()
 
     def test_rows(self, capsys):
         code, out, _ = run(capsys, "quad", "--prior", "disk:2", "--gain", "0.5")
@@ -184,6 +190,12 @@ class TestOptimize:
                            "--nodes", "6", "--tol", "1e-15")
         assert code == 3
         assert "numerical failure" in err
+
+    def test_sweep_cap_is_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr("telebound.optimize._MAX_SWEEPS", 1)
+        code, out, err = run(capsys, "optimize", "--prior", "disk:2", "--family", "curve")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: guess-curve ascent did not settle within 1 sweeps")
 
 
 class TestSimulate:
@@ -336,6 +348,18 @@ class TestGenerateAnalyze:
         code, _, err = run(capsys, "generate", "--radius", "1", "-n", "10",
                            "--model", "const:1.5", "--seed", "0", "-o", str(tmp_path / "x.csv"))
         assert code == 2
+
+
+@pytest.mark.parametrize("gain", ["abc", "-0.5"])
+@pytest.mark.parametrize("command", [
+    ("quad", "--prior", "disk:1"),
+    ("simulate", "--prior", "disk:1", "-n", "10"),
+], ids=["quad", "simulate"])
+def test_bad_gain_is_a_bad_model(capsys, command, gain):
+    # --gain G spells generate's gain:G, and is read by the same parser.
+    code, out, err = run(capsys, *command, "--gain", gain)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad model 'gain:{gain}': ")
 
 
 def test_no_worker_outlives_a_call(capsys, tmp_path):

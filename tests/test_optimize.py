@@ -16,7 +16,7 @@ from telebound import (
     optimize_gain,
     optimize_guess_curve,
 )
-from telebound.optimize import GAIN_SEARCH_MAX, _golden_max
+from telebound.optimize import GAIN_SEARCH_MAX, ConvergenceError, _golden_max
 
 from _oracles import DISK_CURVE_IDEAL, DISK_GAIN_OPTIMA
 
@@ -143,14 +143,21 @@ class TestOptimizeGuessCurve:
         for bad in (3, 4.5):
             with pytest.raises(ValueError, match="n_nodes"):
                 optimize_guess_curve(UniformDisk(1.0), n_nodes=bad)
-        for bad in (0, 1.5):
-            with pytest.raises(ValueError, match="max_sweeps"):
-                optimize_guess_curve(UniformDisk(1.0), max_sweeps=bad)
         for degenerate in (UniformDisk(1e-7), GaussianIso(1e14), TruncatedGaussian(1e14, 1.0)):
             with pytest.raises(ValueError, match="prior support is degenerate"):
                 optimize_guess_curve(degenerate)
         with pytest.raises(ValueError):
             optimize_guess_curve(UniformDisk(1.0), tol=-1.0)
+
+    def test_sweep_cap_raises_with_best_report(self, monkeypatch):
+        monkeypatch.setattr("telebound.optimize._MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError, match="within 1 sweeps") as info:
+            optimize_guess_curve(UniformDisk(2.0))
+        report = info.value.report
+        assert report.converged is False
+        assert report.convergence_gap > 1e-3
+        # The best curve found so far is at least the gain it started from.
+        assert report.best_value >= optimize_gain(UniformDisk(2.0)).best_value
 
 
 class TestClassicalBoundEstimate:

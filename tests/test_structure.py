@@ -87,6 +87,17 @@ def test_only_core_tests_a_strategy_type():
     assert found == []
 
 
+def test_cli_builds_strategies_in_one_parser():
+    # Every command spells its strategy as a model string, gain:G or
+    # curve:FILE, so one function turns the text into a strategy.
+    found = []
+    for func, call in _nodes(_tree(PACKAGE / "cli.py"), ast.Call):
+        name = getattr(call.func, "id", None)
+        if name in ("Gain", "_load_curve") and func != "_parse_model":
+            found.append(f"cli.py:{call.lineno} calls {name} in {func}")
+    assert found == []
+
+
 def test_text_is_decoded_once_with_surrogateescape():
     # A byte that is not UTF-8 must reach the reader, which names its line
     # with data.utf8_error; no read may fail inside the codec.
