@@ -43,7 +43,7 @@ print()
 print("=" * 72)
 print("Uniform disks: the finite-area thesis")
 print("=" * 72)
-print("  best gain strategy per disk radius (closed form + golden section):")
+print("  best gain strategy per disk radius (closed form + grid refinement):")
 print(f"  {'radius':>8} {'best gain':>10} {'fidelity':>10} {'above 1/2':>10}")
 rows = []
 for radius in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0):

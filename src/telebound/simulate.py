@@ -121,8 +121,12 @@ def _draw_prior(prior: Prior, first, second, beta, re, im):
         # sqrt(-log1p(-u mass) / lam); a negated factor gives the same bits.
         np.log1p(np.multiply(r, -prior.mass, out=r), out=r)
         np.sqrt(np.divide(r, -prior.lam, out=r), out=r)
-    theta = np.multiply(2.0 * np.pi, second.random(out=im), out=im)
-    np.exp(np.multiply(1j, theta, out=beta), out=beta)
+    # i theta written as its parts: the bits of 1j * theta, without the
+    # complex cast of theta. r * beta stays one multiply, since writing its
+    # parts apart can flip the sign of a zero at r = 0.
+    beta.real = 0.0
+    np.multiply(2.0 * np.pi, second.random(out=im), out=beta.imag)
+    np.exp(beta, out=beta)
     return np.multiply(r, beta, out=beta)
 
 

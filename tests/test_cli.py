@@ -191,11 +191,13 @@ class TestOptimize:
         assert code == 3
         assert "numerical failure" in err
 
-    def test_sweep_cap_is_numerical_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr("telebound.optimize._MAX_SWEEPS", 1)
-        code, out, err = run(capsys, "optimize", "--prior", "disk:2", "--family", "curve")
+    def test_gain_unreachable_tolerance_is_numerical_failure(self, capsys):
+        # Near the optimum floats are 1.1e-16 apart, so 1e-17 cannot be met.
+        code, out, err = run(capsys, "optimize", "--prior", "disk:2", "--family", "gain",
+                             "--tol", "1e-17")
         assert (code, out) == (3, "")
-        assert err.startswith("numerical failure: guess-curve ascent did not settle within 1 sweeps")
+        assert err.startswith("numerical failure: a bracket of width ")
+        assert "cannot narrow to tol 1.0e-17 at float resolution" in err
 
 
 class TestSimulate:

@@ -1,6 +1,3 @@
-import importlib
-import math
-
 import numpy as np
 import pytest
 
@@ -15,8 +12,11 @@ from telebound import (
     gaussian_bound,
     optimize_gain,
     optimize_guess_curve,
+    select_lambda,
 )
-from telebound.optimize import GAIN_SEARCH_MAX, ConvergenceError, _golden_max
+from telebound import optimize
+from telebound.optimize import GAIN_SEARCH_MAX, ConvergenceError, _refine_max
+from telebound.quadrature import BetaRule
 
 from _oracles import DISK_CURVE_IDEAL, DISK_GAIN_OPTIMA
 
@@ -60,47 +60,96 @@ class TestOptimizeGain:
             optimize_gain(UniformDisk(1.0), tol=0.0)
 
 
-def golden_max_one(f, lo, hi, tol):
+def refine_max_one(f, lo, hi, tol, n):
     """One bracket at a time: the reference loop for the lockstep search."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    h = hi - lo
-    if h <= tol:
-        x = 0.5 * (lo + hi)
-        return x, f(x), 1, h
-    steps = int(math.ceil(math.log(tol / h) / math.log(inv_phi)))
-    c, d = lo + inv_phi2 * h, lo + inv_phi * h
-    yc, yd = f(c), f(d)
-    for _ in range(steps - 1):
-        h = inv_phi * h
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            c = lo + inv_phi2 * h
-            yc = f(c)
-        else:
-            lo, c, yc = c, d, yd
-            d = lo + inv_phi * h
-            yd = f(d)
-    if yc > yd:
-        return c, yc, steps + 1, d - lo
-    return d, yd, steps + 1, hi - c
+    evals = 0
+    while True:
+        xs = np.linspace(lo, hi, n)
+        ys = f(xs)
+        i = int(np.argmax(ys))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]
+        evals += n
+        if hi - lo <= tol:
+            return float(xs[i]), float(ys[i]), evals, float(hi - lo)
 
 
-class TestGoldenSearch:
+class TestRefineMax:
     def test_lockstep_matches_one_bracket_at_a_time(self):
-        # brackets of different widths take different step counts; the last
+        # brackets of different widths take different round counts; the last
         # one is already within tol
         lo = np.array([0.0, -1.0, 0.3, 2.0, 1.0])
         hi = np.array([1.0, 3.0, 0.31, 9.0, 1.0 + 1e-9])
         peaks = np.array([0.37, 0.5, 0.305, 8.9, 1.0])
+        n = optimize._REFINE_POINTS
 
         def f(x):
             return -np.cos(x - peaks) * (x - peaks) ** 2
 
-        batch = _golden_max(f, lo, hi, 1e-7)
+        def parts(*arrays):
+            return arrays
+
+        x, fx, evals, width, converged = _refine_max(f, lo, hi, 1e-7, parts)
+        assert converged
+        assert len(set(evals.tolist())) > 2
         for i in range(lo.size):
-            one = golden_max_one(lambda x: float(f(np.full(lo.size, x))[i]), lo[i], hi[i], 1e-7)
-            assert tuple(float(v[i]) for v in batch) == one
+            # Element i of f, evaluated on arrays of the batch's shape.
+            def f_i(xs, i=i):
+                return f(np.repeat(xs[:, None], lo.size, axis=1))[:, i]
+
+            one = refine_max_one(f_i, lo[i], hi[i], 1e-7, n)
+            assert (float(x[i]), float(fx[i]), int(evals[i]), float(width[i])) == one
+
+    def test_unreachable_tolerance_raises_with_report(self):
+        # Near g = 0.69 floats are 1.1e-16 apart: no bracket narrows to 1e-17.
+        with pytest.raises(ConvergenceError, match="cannot narrow to tol 1.0e-17") as info:
+            optimize_gain(UniformDisk(2.0), tol=1e-17)
+        report = info.value.report
+        assert report.converged is False
+        # The gap is the bracket's real width, not 0 from collapsed points.
+        assert 1e-17 < report.convergence_gap < 1e-14
+        best = optimize_gain(UniformDisk(2.0))
+        assert report.best_value == pytest.approx(best.best_value, abs=1e-12)
+
+    def test_curve_unreachable_tolerance_raises_with_report(self):
+        with pytest.raises(ConvergenceError, match="cannot narrow to tol 1.0e-17") as info:
+            optimize_guess_curve(UniformDisk(1.0), n_nodes=6, tol=1e-15)
+        report = info.value.report
+        assert report.converged is False
+        assert 1e-17 < report.convergence_gap < 1e-14
+        # The best curve found is at least the gain it started from.
+        assert isinstance(report.best_strategy, RadialCurve)
+        assert report.best_value >= optimize_gain(UniformDisk(1.0)).best_value
+
+
+class TestCallBudget:
+    """One scan and one refinement of the node slices, one quadrature."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"call": 0, "average": 0}
+        call, average = BetaRule.__call__, BetaRule.average
+
+        def counted_call(self, *args):
+            counts["call"] += 1
+            return call(self, *args)
+
+        def counted_average(self, *args):
+            counts["average"] += 1
+            return average(self, *args)
+
+        monkeypatch.setattr(BetaRule, "__call__", counted_call)
+        monkeypatch.setattr(BetaRule, "average", counted_average)
+        return counts
+
+    def test_guess_curve(self, counts):
+        optimize_guess_curve(UniformDisk(2.0))
+        assert counts["call"] <= 12
+        assert counts["average"] == 1
+
+    def test_classical_bound_estimate(self, counts):
+        classical_bound_estimate(TruncatedGaussian(select_lambda(2.0, 0.01), 2.0))
+        assert counts["call"] <= 12
+        assert counts["average"] == 1
 
 
 class TestOptimizeGuessCurve:
@@ -149,16 +198,6 @@ class TestOptimizeGuessCurve:
         with pytest.raises(ValueError):
             optimize_guess_curve(UniformDisk(1.0), tol=-1.0)
 
-    def test_sweep_cap_raises_with_best_report(self, monkeypatch):
-        monkeypatch.setattr("telebound.optimize._MAX_SWEEPS", 1)
-        with pytest.raises(ConvergenceError, match="within 1 sweeps") as info:
-            optimize_guess_curve(UniformDisk(2.0))
-        report = info.value.report
-        assert report.converged is False
-        assert report.convergence_gap > 1e-3
-        # The best curve found so far is at least the gain it started from.
-        assert report.best_value >= optimize_gain(UniformDisk(2.0)).best_value
-
 
 class TestClassicalBoundEstimate:
     def test_disk_two(self):
@@ -205,14 +244,13 @@ class TestClassicalBoundEstimate:
         prior = TruncatedGaussian(1.0, 2.0)
         gain = optimize_gain(prior, tol=1e-6)
         curve = optimize_guess_curve(prior)
-        module = importlib.import_module("telebound.optimize")
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return optimize_gain(*args, **kwargs)
 
-        monkeypatch.setattr(module, "optimize_gain", counted)
+        monkeypatch.setattr(optimize, "optimize_gain", counted)
         result = classical_bound_estimate(prior)
         assert len(calls) == 1
         best = max(gain, curve, key=lambda report: report.best_value)
