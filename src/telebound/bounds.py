@@ -1,9 +1,10 @@
 """Closed-form average fidelities for gain strategies, and the tail-driven
 width selection used by the certification protocol.
 
-All formulas come from completing squares in the double Gaussian integral
-of the measure-and-prepare fidelity; each one is cross-validated against
-the numerical engine in the test suite before anything else relies on it.
+The gain formula comes from completing squares in the double Gaussian
+integral of the measure-and-prepare fidelity. It is written once, in
+gain_fidelity, for the whole prior family, and cross-validated against the
+numerical engine in the test suite before anything else relies on it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Prior, Strategy, check_positive, disk_mass
+from .core import GaussianIso, Prior, Strategy, TruncatedGaussian, UniformDisk, check_positive
 
 __all__ = [
     "BoundResult",
@@ -52,16 +53,13 @@ def gaussian_bound(lam: float) -> float:
 
 
 def gaussian_gain_fidelity(lam: float, g: float) -> float:
-    """Average fidelity of the gain-g strategy on the Gaussian ensemble.
+    """Average fidelity of the gain-g strategy on the Gaussian ensemble:
+    gain_fidelity(GaussianIso(lam), g), lam / ((1 - g)^2 + lam (1 + g^2)).
 
-    Closed form lam / ((lam + 1)(1 + g^2) - 2 g). The denominator equals
-    lam (1 + g^2) + (1 - g)^2, so it is positive for every lam > 0; at
-    lam = 0 with g = 1 the underlying integral diverges, which is why
+    At lam = 0 with g = 1 the underlying integral diverges, which is why
     lam = 0 is rejected here (the limit is served by gaussian_bound).
     """
-    check_positive(lam, "lam")
-    check_positive(g, "g", zero_ok=True)
-    return lam / ((lam + 1.0) * (1.0 + g * g) - 2.0 * g)
+    return gain_fidelity(GaussianIso(lam), g)
 
 
 def optimal_gain_gaussian(lam: float) -> float:
@@ -71,37 +69,16 @@ def optimal_gain_gaussian(lam: float) -> float:
 
 
 def disk_gain_fidelity(radius: float, g: float) -> float:
-    """Average fidelity of the gain-g strategy on the uniform disk ensemble.
-
-    Closed form (1 - exp(-k R^2)) / (R^2 (1 - g)^2) with
-    k = (1 - g)^2 / (1 + g^2); the removable singularity at g = 1 has the
-    exact value 1/2 for every radius.
-    """
-    check_positive(radius, "radius")
-    check_positive(g, "g", zero_ok=True)
-    if g == 1.0:
-        return 0.5
-    k = (1.0 - g) ** 2 / (1.0 + g * g)
-    return -math.expm1(-k * radius**2) / (radius**2 * (1.0 - g) ** 2)
+    """Average fidelity of the gain-g strategy on the uniform disk ensemble:
+    gain_fidelity(UniformDisk(radius), g)."""
+    return gain_fidelity(UniformDisk(radius), g)
 
 
 def truncated_gain_fidelity(lam: float, radius: float, g: float) -> float:
     """Average fidelity of the gain-g strategy on the truncated Gaussian
-    ensemble (Gaussian of inverse width lam restricted to |beta| <= radius).
-
-    lam = 0 reduces to disk_gain_fidelity; g = 1 gives exactly 1/2 for any
-    ensemble, since the residual noise is then prior-independent.
-    """
-    check_positive(lam, "lam", zero_ok=True)
-    check_positive(radius, "radius")
-    if lam == 0.0:
-        return disk_gain_fidelity(radius, g)
-    check_positive(g, "g", zero_ok=True)
-    if g == 1.0:
-        return 0.5
-    k = (1.0 - g) ** 2 / (1.0 + g * g)
-    inside = lam * (-math.expm1(-(lam + k) * radius**2)) / ((1.0 + g * g) * (lam + k))
-    return inside / disk_mass(lam, radius)
+    ensemble (Gaussian of inverse width lam restricted to |beta| <= radius):
+    gain_fidelity(TruncatedGaussian(lam, radius), g)."""
+    return gain_fidelity(TruncatedGaussian(lam, radius), g)
 
 
 def select_lambda(radius: float, epsilon: float) -> float:
@@ -125,9 +102,19 @@ def select_lambda(radius: float, epsilon: float) -> float:
 
 
 def gain_fidelity(prior: Prior, g: float) -> float:
-    """Closed-form average fidelity of Gain(g) for any prior."""
-    # The truncated formula at radius = inf rounds differently from the
-    # whole-plane closed form, so the latter keeps its own expression.
-    if prior.radius == math.inf:
-        return gaussian_gain_fidelity(prior.lam, g)
-    return truncated_gain_fidelity(prior.lam, prior.radius, g)
+    """Closed-form average fidelity of Gain(g) for any prior:
+
+        w (1 - exp(-(lam + k) R^2)) / ((1 - g)^2 + lam (1 + g^2)),
+
+    with k = (1 - g)^2 / (1 + g^2) and w = lam / prior.mass, or 1 / R^2 at
+    lam = 0. Every term of the denominator is >= 0, so nothing cancels, and
+    at R = inf the numerator is exactly lam. g = 1 gives exactly 1/2 for any
+    prior, since the residual noise is then prior-independent.
+    """
+    check_positive(g, "g", zero_ok=True)
+    if g == 1.0:
+        return 0.5
+    lam, radius = prior.lam, prior.radius
+    w = lam / prior.mass if lam > 0.0 else 1.0 / radius**2
+    k = (1.0 - g) ** 2 / (1.0 + g * g)
+    return w * -math.expm1(-(lam + k) * radius**2) / ((1.0 - g) ** 2 + lam * (1.0 + g * g))

@@ -10,9 +10,9 @@ Every input prior is one family, TruncatedGaussian(lam, radius): a Gaussian
 of inverse width lam restricted to the disk |beta| <= radius. The uniform
 disk is lam = 0 and the whole-plane Gaussian is radius = inf; UniformDisk
 and GaussianIso construct those two cases. A prior's `mass` is the share of
-(lam/pi) exp(-lam |beta|^2) inside its disk, written once as
-disk_mass(lam, radius), and tail_mass(lam, radius) the share beyond it; the
-sampler, the quadrature cuts and bounds.truncated_gain_fidelity read these.
+(lam/pi) exp(-lam |beta|^2) inside its disk, and tail_mass(lam, radius)
+the share beyond it; the sampler, the quadrature cuts and
+bounds.gain_fidelity read these.
 prior.support_radius(tail), the radius holding all but `tail` of the
 prior's own mass, is the one cut that the quadrature and the optimizer read.
 
@@ -108,13 +108,6 @@ def overlap(d, out=None):
     return np.exp(np.negative(s, out=out), out=out)
 
 
-def disk_mass(lam: float, radius: float) -> float:
-    """Mass of (lam/pi) exp(-lam |beta|^2) inside |beta| <= radius,
-    1 - exp(-lam radius^2); expm1 keeps the lam -> 0 limit exact, and it is
-    exactly 1.0 at radius = inf. Arguments are not checked."""
-    return -math.expm1(-lam * radius**2)
-
-
 @dataclass(frozen=True)
 class TruncatedGaussian:
     """Gaussian ensemble restricted to |beta| <= radius and renormalized.
@@ -148,8 +141,10 @@ class TruncatedGaussian:
 
     @property
     def mass(self) -> float:
-        """Mass of (lam/pi) exp(-lam |beta|^2) inside the disk: disk_mass."""
-        return disk_mass(self.lam, self.radius)
+        """Mass of (lam/pi) exp(-lam |beta|^2) inside the disk,
+        1 - exp(-lam radius^2); expm1 keeps the lam -> 0 limit exact, and it
+        is exactly 1.0 at radius = inf."""
+        return -math.expm1(-self.lam * self.radius**2)
 
     def density(self, beta: complex) -> float:
         """Density at the amplitude `beta`: radial_density(|beta|)."""

@@ -10,7 +10,7 @@ detection and guesses stay coherent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,18 +67,19 @@ def _scan(f, lo: np.ndarray, hi: np.ndarray, n: int):
     return xs[i, j], ys[i, j], xs[np.maximum(i - 1, 0), j], xs[np.minimum(i + 1, n - 1), j]
 
 
-def _refine_max(f, lo: np.ndarray, hi: np.ndarray, tol: float, report):
+def _refine_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
     """Maxima of f on the brackets [lo, hi], elementwise and in lockstep.
 
-    Each round scans _REFINE_POINTS points of every bracket in one call of
-    f and keeps the best point's neighbours, until every bracket is within
-    tol. A bracket stops once it is, so each element sees the same
-    arithmetic as a search on its own, whatever else shares the batch.
+    Each round scans _REFINE_POINTS points of every open bracket in one call
+    f(xs, live), where live masks the open brackets and xs holds their
+    points, shape (_REFINE_POINTS, live.sum()), and keeps the best point's
+    neighbours. A bracket closes once it is within tol, or once its grid
+    steps would fall below one float spacing of its ends, so each element
+    sees the same arithmetic as a search on its own, whatever else shares
+    the batch.
 
-    Returns report(x_best, f_best, evaluations, width, converged), from
-    1-D arrays shaped like lo. A bracket whose grid steps would fall below one
-    float spacing of its ends stops too; if it is still wider than tol,
-    ConvergenceError carries the report, with converged false.
+    Returns (x_best, f_best, evaluations, width), 1-D arrays shaped like lo;
+    a width above tol is a bracket that float resolution stopped.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -87,18 +88,22 @@ def _refine_max(f, lo: np.ndarray, hi: np.ndarray, tol: float, report):
     evals = np.zeros(lo.shape, dtype=int)
     live = np.ones(lo.shape, dtype=bool)
     while live.any():
-        x_new, f_new, lo_new, hi_new = _scan(f, lo, hi, _REFINE_POINTS)
-        x, fx = np.where(live, x_new, x), np.where(live, f_new, fx)
-        lo, hi = np.where(live, lo_new, lo), np.where(live, hi_new, hi)
-        evals += _REFINE_POINTS * live
+        x[live], fx[live], lo[live], hi[live] = _scan(lambda xs: f(xs, live), lo[live], hi[live],
+                                                      _REFINE_POINTS)
+        evals[live] += _REFINE_POINTS
         resolution = (_REFINE_POINTS - 1) * np.spacing(np.maximum(abs(lo), abs(hi)))
-        live &= (hi - lo > tol) & (hi - lo > resolution)
-    width = hi - lo
-    if (width > tol).any():
-        raise ConvergenceError(f"a bracket of width {width.max():.3e} cannot narrow to "
+        live = live & (hi - lo > tol) & (hi - lo > resolution)
+    return x, fx, evals, hi - lo
+
+
+def _checked(report: OptimizationReport, tol: float) -> OptimizationReport:
+    """report, unless its convergence_gap is above tol: then ConvergenceError
+    carries it, with converged false."""
+    if report.convergence_gap > tol:
+        raise ConvergenceError(f"a bracket of width {report.convergence_gap:.3e} cannot narrow to "
                                f"tol {tol:.1e} at float resolution",
-                               report(x, fx, evals, width, False))
-    return report(x, fx, evals, width, True)
+                               replace(report, converged=False))
+    return report
 
 
 def optimize_gain(prior: Prior, tol: float = 1e-6) -> OptimizationReport:
@@ -108,15 +113,12 @@ def optimize_gain(prior: Prior, tol: float = 1e-6) -> OptimizationReport:
     report's convergence_gap, is at most tol.
     """
     check_positive(tol, "tol")
-
     objective = np.vectorize(lambda g: gain_fidelity(prior, g), otypes=[float])
-
-    def report(g, value, evals, width, converged):
-        return OptimizationReport(best_strategy=Gain(float(g[0])), best_value=float(value[0]),
-                                  evaluations=int(evals[0]), convergence_gap=float(width[0]),
-                                  converged=converged)
-
-    return _refine_max(objective, np.zeros(1), np.full(1, GAIN_SEARCH_MAX), tol, report)
+    g, value, evals, width = _refine_max(lambda xs, live: objective(xs), np.zeros(1),
+                                         np.full(1, GAIN_SEARCH_MAX), tol)
+    return _checked(OptimizationReport(best_strategy=Gain(float(g[0])), best_value=float(value[0]),
+                                       evaluations=int(evals[0]), convergence_gap=float(width[0])),
+                    tol)
 
 
 def _curve_node_radii(prior: Prior, n_nodes: int) -> np.ndarray:
@@ -138,21 +140,17 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3) -> O
     ConvergenceError with that report if a node cannot narrow to its
     tolerance.
     """
-    _check_curve_search(prior, n_nodes, tol)
     return _search_curve(prior, optimize_gain(prior, tol=min(tol, 1e-6)), n_nodes, tol)
-
-
-def _check_curve_search(prior: Prior, n_nodes: int, tol: float) -> None:
-    check_count(n_nodes, "n_nodes", 4)
-    check_positive(tol, "tol")
-    if prior.support_radius(1e-4) <= 1e-6:
-        raise ValueError(f"prior support is degenerate: {prior!r}")
 
 
 def _search_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int,
                   tol: float) -> OptimizationReport:
-    """optimize_guess_curve's search, on arguments already checked.
-    gain_report is the best gain for `prior` at tol min(tol, 1e-6)."""
+    """optimize_guess_curve's search. gain_report is the best gain for
+    `prior` at tol min(tol, 1e-6)."""
+    check_count(n_nodes, "n_nodes", 4)
+    check_positive(tol, "tol")
+    if prior.support_radius(1e-4) <= 1e-6:
+        raise ValueError(f"prior support is degenerate: {prior!r}")
     radii = _curve_node_radii(prior, n_nodes)
 
     # The first node sits at the origin, where the best guess is the origin;
@@ -160,33 +158,28 @@ def _search_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int,
     r = radii[1:]
     rule = BetaRule.for_prior(prior, QuadratureSpec())
 
-    def slices(rho: np.ndarray) -> np.ndarray:
-        return rule(r, rho)
-
     # A 25-point scan brackets each node's maximizer. None has been seen
     # above 2/3 of this range, so one search settles every node: a wider
     # range would change nothing.
     g = gain_report.best_strategy.g
     grid = 25
-    _, _, lo, hi = _scan(slices, np.zeros_like(r), np.maximum(GAIN_SEARCH_MAX * r, g * r + 1.0),
-                         grid)
+    _, _, lo, hi = _scan(lambda rho: rule(r, rho), np.zeros_like(r),
+                         np.maximum(GAIN_SEARCH_MAX * r, g * r + 1.0), grid)
+    rho, _, counts, width = _refine_max(lambda rho, live: rule(r[live], rho), lo, hi, tol * 1e-2)
 
-    def report(rho, _, counts, width, converged):
-        curve = RadialCurve(tuple(zip(radii, np.concatenate(([0.0], rho)))))
-        value = rule.average(curve)
-        evals = gain_report.evaluations + grid * r.size + int(counts.sum()) + 1
-        # The curve family holds the best gain as the curve g * radii. It is
-        # scored only if the search's curve falls below the gain, and wins a tie.
-        if value < gain_report.best_value:
-            start = RadialCurve(tuple(zip(radii, g * radii)))
-            start_value = rule.average(start)
-            evals += 1
-            if start_value >= value:
-                curve, value = start, start_value
-        return OptimizationReport(best_strategy=curve, best_value=value, evaluations=evals,
-                                  convergence_gap=float(width.max()), converged=converged)
-
-    return _refine_max(slices, lo, hi, tol * 1e-2, report)
+    curve = RadialCurve(tuple(zip(radii, np.concatenate(([0.0], rho)))))
+    value = rule.average(curve)
+    evals = gain_report.evaluations + grid * r.size + int(counts.sum()) + 1
+    # The curve family holds the best gain as the curve g * radii. It is
+    # scored only if the search's curve falls below the gain, and wins a tie.
+    if value < gain_report.best_value:
+        start = RadialCurve(tuple(zip(radii, g * radii)))
+        start_value = rule.average(start)
+        evals += 1
+        if start_value >= value:
+            curve, value = start, start_value
+    return _checked(OptimizationReport(best_strategy=curve, best_value=value, evaluations=evals,
+                                       convergence_gap=float(width.max())), tol * 1e-2)
 
 
 def classical_bound_estimate(prior: Prior, n_nodes: int = 8, tol: float = 1e-3) -> BoundResult:
@@ -199,7 +192,6 @@ def classical_bound_estimate(prior: Prior, n_nodes: int = 8, tol: float = 1e-3) 
     coherent states.
     """
     gain_report = optimize_gain(prior, tol=min(tol, 1e-6))
-    _check_curve_search(prior, n_nodes, tol)
     # The curve search starts from the same gain report, computed once.
     curve_report = _search_curve(prior, gain_report, n_nodes, tol)
     # On a tie max keeps the first report, the gain.

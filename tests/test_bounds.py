@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ class TestGaussianGainFidelity:
             g = optimal_gain_gaussian(lam)
             assert gaussian_gain_fidelity(lam, g) == pytest.approx(gaussian_bound(lam), abs=1e-12)
 
+    def test_within_8_ulps_of_exact(self):
+        # lam / ((lam + 1)(1 + g^2) - 2 g) cancels near g = 1 at small lam:
+        # that spelling is 12,509 ulps off at the first point.
+        rng = np.random.default_rng(24)
+        points = [(1.8249179996419275e-4, 1.0046278659132777)] + list(zip(
+            10.0 ** rng.uniform(-6.0, 3.0, 200), rng.uniform(0.0, 1.5, 200)))
+        for lam, g in points:
+            lam, g = float(lam), float(g)
+            exact = Fraction(lam) / ((Fraction(lam) + 1) * (1 + Fraction(g) ** 2) - 2 * Fraction(g))
+            error = abs(Fraction(gaussian_gain_fidelity(lam, g)) - exact)
+            assert error <= 8 * Fraction(math.ulp(float(exact))), (lam, g)
+
 
 class TestOptimalGainGaussian:
     def test_values(self):
@@ -132,6 +145,20 @@ class TestTruncatedGainFidelity:
     def test_wide_disk_approaches_whole_plane(self):
         assert truncated_gain_fidelity(1.0, 12.0, 0.5) == pytest.approx(
             gaussian_gain_fidelity(1.0, 0.5), rel=1e-9)
+
+    def test_whole_plane_is_gaussian_bit_for_bit(self):
+        for lam, g in ((1.0, 0.5), (0.05, 0.93), (3.0, 0.0), (0.2, 1.3)):
+            assert truncated_gain_fidelity(lam, math.inf, g) == gaussian_gain_fidelity(lam, g)
+
+
+@pytest.mark.parametrize("closed_form,args,message", [
+    (disk_gain_fidelity, (1e-200, 0.5), "below the smallest normal float"),
+    (disk_gain_fidelity, (1e200, 0.5), r"radius\*\*2 overflows"),
+    (truncated_gain_fidelity, (1.0, 1e200, 0.5), r"radius\*\*2 overflows"),
+])
+def test_extreme_radius_is_the_priors_value_error(closed_form, args, message):
+    with pytest.raises(ValueError, match=message):
+        closed_form(*args)
 
 
 class TestSelectLambda:

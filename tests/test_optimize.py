@@ -81,20 +81,23 @@ class TestRefineMax:
         hi = np.array([1.0, 3.0, 0.31, 9.0, 1.0 + 1e-9])
         peaks = np.array([0.37, 0.5, 0.305, 8.9, 1.0])
         n = optimize._REFINE_POINTS
+        calls = []
 
-        def f(x):
-            return -np.cos(x - peaks) * (x - peaks) ** 2
+        def f(xs, live):
+            calls.append(live.copy())
+            assert xs.shape == (n, live.sum())
+            return -np.cos(xs - peaks[live]) * (xs - peaks[live]) ** 2
 
-        def parts(*arrays):
-            return arrays
-
-        x, fx, evals, width, converged = _refine_max(f, lo, hi, 1e-7, parts)
-        assert converged
+        x, fx, evals, width = _refine_max(f, lo, hi, 1e-7)
+        assert (width <= 1e-7).all()
         assert len(set(evals.tolist())) > 2
+        # Round k scores exactly the brackets that take more than k rounds.
+        assert [live.tolist() for live in calls] == [(evals > n * k).tolist()
+                                                     for k in range(len(calls))]
+        assert sum(int(live.sum()) for live in calls) == evals.sum() / n
         for i in range(lo.size):
-            # Element i of f, evaluated on arrays of the batch's shape.
             def f_i(xs, i=i):
-                return f(np.repeat(xs[:, None], lo.size, axis=1))[:, i]
+                return -np.cos(xs - peaks[i]) * (xs - peaks[i]) ** 2
 
             one = refine_max_one(f_i, lo[i], hi[i], 1e-7, n)
             assert (float(x[i]), float(fx[i]), int(evals[i]), float(width[i])) == one
