@@ -60,25 +60,23 @@ def _parse_model(text: str):
 
 
 def _load_curve(path: str) -> RadialCurve:
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        lines = fh.readlines()
-    for line_no, line in enumerate(lines, start=1):
-        reason = utf8_error(line.encode("utf-8", "surrogateescape"))  # the escape is lossless
-        if reason is not None:
-            raise ValueError(f"{path}:{line_no}: not valid UTF-8 ({reason})")
     nodes, node_lines = [], []
-    for line_no, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{line_no}: expected 'radius,guess_radius'")
-        try:
-            nodes.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: non-numeric node") from None
-        node_lines.append(line_no)
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            reason = utf8_error(line.encode("utf-8", "surrogateescape"))  # the escape is lossless
+            if reason is not None:
+                raise ValueError(f"{path}:{line_no}: not valid UTF-8 ({reason})")
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.replace(",", " ").split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{line_no}: expected 'radius,guess_radius'")
+            try:
+                nodes.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: non-numeric node") from None
+            node_lines.append(line_no)
     try:
         return RadialCurve(tuple(nodes))
     except ValueError as exc:

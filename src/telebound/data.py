@@ -14,12 +14,13 @@ parses each block with one orjson call into three columns. A block whose
 every line is three JSON numbers padded with spaces or tabs, ending in LF,
 CRLF or a bare CR, with no integer 0 (JSON reads -0 as 0, float() as
 -0.0) and values that Dataset accepts, stays with orjson. Any other block
-is parsed line by line, which names the offending line, and the next block
-goes to orjson again. Both give the same values. The columns are sized
-from the file size and the first block's bytes per line, grown in place
-when that falls short (a pipe reports size 0) and trimmed at the end. A
-byte that is not UTF-8 is named by its line, before any other defect in
-the file.
+is parsed line by line, which checks and decodes each line in turn, and
+the next block goes to orjson again. Both give the same values. The
+columns are sized from the file size and the first block's bytes per line,
+grown in place when that falls short (a pipe reports size 0) and trimmed
+at the end. The first defective line in the file is named, whatever its
+defect, a byte that is not UTF-8 included, and nothing past its block is
+read.
 
 write_dataset's bytes equal those of a per-row writer joining repr(value).
 It writes CHUNK_SIZE rows at a time: orjson dumps the values of the rows
@@ -33,7 +34,7 @@ import codecs
 import math
 import os
 from itertools import chain
-from typing import Iterator, NoReturn, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -113,23 +114,22 @@ def utf8_error(data: bytes) -> Optional[str]:
     return None
 
 
-def _check_utf8(block: bytes, line_no: int) -> None:
-    """Raise naming the first line of block, counted from line_no, that is not UTF-8."""
-    if utf8_error(block) is None:
-        return
-    for n, line in enumerate(block.splitlines(keepends=True), start=line_no):
-        reason = utf8_error(line)
-        if reason is not None:
-            raise DatasetFormatError(f"line {n}: not valid UTF-8 ({reason})")
+def _decode(line: bytes, line_no: int) -> str:
+    """line, which keeps its line end, as text without it; raise naming
+    line_no when it is not UTF-8."""
+    reason = utf8_error(line)
+    if reason is not None:
+        raise DatasetFormatError(f"line {line_no}: not valid UTF-8 ({reason})")
+    return line.decode().rstrip("\r\n")
 
 
 def _parse_lines(lines: list, line_no: int) -> np.ndarray:
-    """Parse UTF-8 record lines without their line ends, counted from
-    line_no, into a (rows, 3) array; skip blank lines and name the first
-    offending line."""
+    """Parse record lines that keep their line ends, counted from line_no,
+    into a (rows, 3) array; skip blank lines and name the first offending
+    line."""
     values = []
     for n, line in enumerate(lines, start=line_no):
-        text = line.decode()
+        text = _decode(line, n)
         if not text.strip():
             continue
         parts = text.split(",")
@@ -185,33 +185,24 @@ def _blocks(raw) -> Iterator[bytes]:
     """raw's bytes in blocks of about BLOCK_SIZE bytes, each cut after a
     line end; the last block ends where the bytes do. A block ends in a
     bare CR only once the byte after it is known not to be LF, so no block
-    splits a CRLF."""
-    carry = b""
+    splits a CRLF. The reads since the last cut are joined once, at the
+    next, so a long line costs its length once."""
+    reads = []
     while data := raw.read(BLOCK_SIZE):
-        data = carry + data
         cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, len(data) - 1) + 1
         if cut:
-            yield data[:cut]
-        carry = data[cut:]
-    if carry:
-        yield carry
-
-
-def _fail(error: DatasetFormatError, blocks: Iterator[bytes], line_no: int) -> NoReturn:
-    """Raise error, unless a byte in the remaining blocks, whose lines are
-    counted from line_no, is not UTF-8: that is reported instead, as a bad
-    byte anywhere in the file is reported before any other defect."""
-    for block in blocks:
-        _check_utf8(block, line_no)
-        line_no += len(block.splitlines())
-    raise error
+            yield b"".join([*reads, data[:cut]])
+            reads = []
+        reads.append(data[cut:])
+    if tail := b"".join(reads):
+        yield tail
 
 
 def load_dataset(path) -> Dataset:
     """Parse a CSV dataset from a path or a file descriptor, such as a
     pipe's, reading it once, a block at a time (see the module docstring).
-    Any defect is reported with the line it sits on; a byte that is not
-    UTF-8 is reported before any other defect in the file."""
+    The first defective line is reported, with its number, and reading
+    stops there."""
     with open(path, "rb") as raw:
         size = os.fstat(raw.fileno()).st_size
         blocks = _blocks(raw)
@@ -220,23 +211,18 @@ def load_dataset(path) -> Dataset:
         if len(first) == bom:
             raise DatasetFormatError("empty file: expected a header line")
         consumed = len(first.splitlines(keepends=True)[0])
-        _check_utf8(first[bom:consumed], 1)
-        header = first[bom:consumed].decode().rstrip("\r\n")
-        body = chain((first[consumed:],) if consumed < len(first) else (), blocks)
+        header = _decode(first[bom:consumed], 1)
         if tuple(part.strip() for part in header.split(",")) != CSV_HEADER:
-            _fail(DatasetFormatError(
-                f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}"), body, 2)
+            raise DatasetFormatError(
+                f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}")
+        body = chain((first[consumed:],) if consumed < len(first) else (), blocks)
         columns, row, line_no = [np.empty(0) for _ in CSV_HEADER], 0, 2
         for block in body:
             consumed += len(block)
             parsed = _parse_block(block)
             if parsed is None:
-                _check_utf8(block, line_no)
-                lines = block.splitlines()
-                try:
-                    parsed = _parse_lines(lines, line_no)
-                except DatasetFormatError as exc:
-                    _fail(exc, body, line_no + len(lines))
+                lines = block.splitlines(keepends=True)
+                parsed = _parse_lines(lines, line_no)
                 line_no += len(lines)
             else:
                 line_no += len(parsed)

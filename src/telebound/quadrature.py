@@ -57,8 +57,9 @@ __all__ = [
     "decomposition_residual",
 ]
 
-# Whole-plane Gaussian priors flatter than this make the alpha integral
-# arbitrarily wide; the analytic limits serve lam -> 0 instead.
+# The panel budget of _panel_rule is the alpha range of a whole-plane
+# Gaussian at this lam. A flatter one needs a wider range and is refused
+# there; the analytic limits serve lam -> 0 instead.
 GAUSSIAN_LAMBDA_FLOOR = 1e-6
 
 # Kernel points (a, b) evaluated at once; bounds the working set at about a
@@ -163,20 +164,22 @@ def _panel_rule(lo: float, hi: float, spec: QuadratureSpec, nodes: int, breaks=(
     spec.panel_width, additionally split at each of `breaks` so kinks (for
     example the nodes of a tabulated guess curve) never sit inside a panel.
     Before allocating, a span that needs more panels than the alpha range of
-    the flattest whole-plane Gaussian admitted (lam = GAUSSIAN_LAMBDA_FLOOR)
-    at the same spec raises ValueError."""
+    a whole-plane Gaussian at lam = GAUSSIAN_LAMBDA_FLOOR at the same spec
+    raises ValueError; this is the one guard on the width of an integral.
+    The comparison is made in floats, so an infinite span is refused too."""
     span = hi - lo
     if span <= 0.0:
         return np.empty(0), np.empty(0)
     width = spec.panel_width
-    panels = math.ceil(span / width)
     floor_cut = _alpha_cut(replace(spec, outer_cut_radius=None),
                            GaussianIso(GAUSSIAN_LAMBDA_FLOOR).support_radius(spec.truncation_tol / 2.0))
     budget = math.ceil(floor_cut / width)
+    panels = span / width
     if panels > budget:
         raise ValueError(
-            f"radial span {span:g} needs {panels} panels of width {width:g}, over the budget of "
-            f"{budget}: the alpha range of a whole-plane Gaussian at lam = {GAUSSIAN_LAMBDA_FLOOR:g}")
+            f"radial span {span:g} needs {panels if panels == math.inf else math.ceil(panels)} panels "
+            f"of width {width:g}, over the budget of {budget}: the alpha range of a whole-plane "
+            f"Gaussian at lam = {GAUSSIAN_LAMBDA_FLOOR:g}")
     cuts = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
     edges = []
     for seg_lo, seg_hi in zip(cuts, cuts[1:]):
@@ -271,11 +274,8 @@ def _evaluate(radial_weight, b_lo, b_hi, strategy, spec, beta_tail) -> QuadResul
 
 def _beta_support(prior: Prior, spec: QuadratureSpec):
     """Upper beta cut for `prior`, its support radius at half the truncation
-    budget, and the prior mass beyond it."""
-    if prior.radius == math.inf and prior.lam < GAUSSIAN_LAMBDA_FLOOR:
-        raise ValueError(
-            f"whole-plane Gaussian integrals need lam >= {GAUSSIAN_LAMBDA_FLOOR} "
-            f"(the alpha integrand flattens as lam -> 0), got {prior.lam}")
+    budget, and the prior mass beyond it. A prior too flat to integrate
+    is refused by the panel budget of the rule on [0, b_hi]."""
     b_hi = prior.support_radius(spec.truncation_tol / 2.0)
     return b_hi, tail_mass(prior.lam, b_hi) / prior.mass if b_hi < prior.radius else 0.0
 
@@ -303,20 +303,15 @@ def restricted_fidelity_quad(lam: float, radius: float, strategy: Strategy, insi
     The two pieces sum to the whole-plane value; decomposition_residual
     checks that identity numerically.
     """
-    check_positive(lam, "lam")
     check_positive(radius, "radius")
     if spec is None:
         spec = QuadratureSpec()
     gaussian = GaussianIso(lam)
-    b_hi, beta_tail = _beta_support(gaussian, spec)
     if inside:
         return _evaluate(gaussian.radial_density, 0.0, radius, strategy, spec, 0.0)
-    if b_hi <= radius:
-        # The entire outside region already carries less weight than the
-        # truncation budget.
-        return QuadResult(value=0.0, error_estimate=tail_mass(lam, radius),
-                          spec=replace(spec, outer_cut_radius=_alpha_cut(spec, radius)))
-    return _evaluate(gaussian.radial_density, radius, b_hi, strategy, spec, beta_tail)
+    # An outside region lighter than the truncation budget has an empty rule.
+    b_hi = max(radius, gaussian.support_radius(spec.truncation_tol / 2.0))
+    return _evaluate(gaussian.radial_density, radius, b_hi, strategy, spec, tail_mass(lam, b_hi))
 
 
 def decomposition_residual(lam: float, radius: float, strategy: Strategy,
@@ -375,5 +370,8 @@ class BetaRule:
         a, a_w = _panel_rule(0.0, self.a_hi, self.spec, self.nodes, breaks=strategy.kinks)
         if a.size == 0 or self.b.size == 0:
             return 0.0
-        return 2.0 * np.pi * float(np.dot(a_w * a, self(a, strategy.guess_radius(a))))
+        # A guess that overflows lies infinitely far from every input: its
+        # kernel is an exact exp(-inf) = 0.
+        with np.errstate(over="ignore"):
+            return 2.0 * np.pi * float(np.dot(a_w * a, self(a, strategy.guess_radius(a))))
 

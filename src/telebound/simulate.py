@@ -173,9 +173,10 @@ def _round(prior: Prior, strategy: Strategy, seed: int, index: int, beta, fid, b
         np.multiply(fid[rows], NOISE_STD, out=a.real)
         np.multiply(noise.standard_normal(out=im[:m]), NOISE_STD, out=a.imag)
         np.add(b, a, out=a)
-        np.multiply(a, strategy.guess_factor(a, r), out=a)
-        # A guess far from its input overflows |guess - beta|^2; exp(-inf) = 0 is exact.
+        # A guess far from its input overflows, or its |guess - beta|^2 does;
+        # exp(-inf) = 0 is exact.
         with np.errstate(over="ignore"):
+            np.multiply(a, strategy.guess_factor(a, r), out=a)
             overlap(np.subtract(a, b, out=a), out=fid[rows])
 
 

@@ -133,23 +133,29 @@ def utf8_error(line: str) -> Optional[str]:
     return None
 
 
+def _checked(line: str, line_no: int) -> str:
+    """line without its line end, once it is known to be UTF-8."""
+    reason = utf8_error(line)
+    if reason is not None:
+        raise DatasetFormatError(f"line {line_no}: not valid UTF-8 ({reason})")
+    return line.rstrip("\r\n")
+
+
 def _read_lines(fh) -> Dataset:
-    """Parse an open CSV dataset line by line, naming the first offending
-    line. Lines end where the file object splits them: LF, CRLF or CR. A
-    byte that is not UTF-8 is reported before any other defect."""
-    lines = []
-    for line_no, line in enumerate(fh, start=1):
-        reason = utf8_error(line)
-        if reason is not None:
-            raise DatasetFormatError(f"line {line_no}: not valid UTF-8 ({reason})")
-        lines.append(line.rstrip("\r\n"))
-    if not lines:
+    """Parse an open CSV dataset line by line, in order, naming the first
+    offending line, whatever its defect. Lines end where the file object
+    splits them: LF, CRLF or CR."""
+    lines = enumerate(fh, start=1)
+    header = next(lines, None)
+    if header is None:
         raise DatasetFormatError("empty file: expected a header line")
-    if _header(lines[0]) != CSV_HEADER:
+    header = _checked(header[1], 1)
+    if _header(header) != CSV_HEADER:
         raise DatasetFormatError(
-            f"line 1: expected header {','.join(CSV_HEADER)!r}, got {lines[0]!r}")
+            f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}")
     re, im, fid = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines:
+        line = _checked(line, line_no)
         if not line.strip():
             continue
         parts = line.split(",")

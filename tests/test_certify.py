@@ -1,4 +1,5 @@
 import decimal
+import io
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,7 +33,7 @@ from telebound import (
 
 from telebound import certify
 from telebound.core import seeded_stream
-from telebound.data import BLOCK_SIZE, CHUNK_SIZE, CSV_HEADER
+from telebound.data import BLOCK_SIZE, CHUNK_SIZE, CSV_HEADER, _blocks
 
 from _oracles import _read_lines, truncated_gain_closed
 
@@ -122,10 +124,13 @@ class TestLoadDataset:
         # A bytes input is written as is: here the 0xff sits on line 3, past
         # CR and CRLF line ends.
         pytest.param(_HEADER.encode() + b"0,0,0.5\r\n1,1,0.5\r0.\xff5,0,0.5\n", False, id="non-utf8"),
-        # A format defect on line 2 and a bad byte on line 4: the bad byte
-        # is reported.
+        # A format defect on line 2 and a bad byte on line 4: the first
+        # defective line, line 2, is reported.
         pytest.param(_HEADER.encode() + b"0,oops,0.5\n1,1,0.5\n0.\xff5,0,0.5\n", False,
-                     id="format-error-then-non-utf8"),
+                     id="format-error-before-non-utf8"),
+        # A bad byte on line 2 and a format defect on line 3.
+        pytest.param(_HEADER.encode() + b"0,\xff,0.5\n0,oops,0.5\n", False,
+                     id="non-utf8-before-format-error"),
         # The orjson fast path: JSON values that float() does not read, JSON
         # numbers that it reads differently, and a CR that JSON takes as space.
         pytest.param(_HEADER + "true,0.5,0.5\n", False, id="json-true"),
@@ -178,9 +183,10 @@ class TestLoadDataset:
                      "line 2: not valid UTF-8 (invalid continuation byte)", id="cut-at-line-end"),
         pytest.param(_HEADER.encode() + b"0,0,0.5\n1,1,0.5\xe2\x82",
                      "line 3: not valid UTF-8 (unexpected end of data)", id="cut-at-eof"),
-        # A format defect in the first block, and a bad byte two blocks on.
+        # A format defect in the first block, and a bad byte two blocks on:
+        # the format defect is reported, and the later blocks are not read.
         pytest.param(_HEADER.encode() + b"0,oops,0.5\n" + b"0.5,0.5,0.5\n" * 12_000 + b"\xff\n",
-                     "line 12003: not valid UTF-8 (invalid start byte)", id="blocks-after-format-error"),
+                     "line 2: beta_im is not a number: 'oops'", id="format-error-blocks-before-non-utf8"),
     ])
     def test_non_utf8_message(self, tmp_path, data, message):
         path = tmp_path / "ds.csv"
@@ -206,6 +212,46 @@ class TestLoadDataset:
         else:
             with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
                 load_dataset(read_fd)
+
+    def test_pipe_stops_at_the_first_bad_line(self):
+        # The first block holds a bad line 2, and the writer keeps the pipe
+        # open after it: the reader must not wait for the rest.
+        read_fd, write_fd = os.pipe()
+        rows = (_HEADER + "0,oops,0.5\n" + "0.5,0.5,0.5\n" * (BLOCK_SIZE // 12)).encode()
+        release, errors = threading.Event(), []
+
+        def write():
+            os.write(write_fd, rows[:BLOCK_SIZE])
+            release.wait()
+            os.close(write_fd)
+
+        def load():
+            try:
+                load_dataset(read_fd)
+            except DatasetFormatError as exc:
+                errors.append(str(exc))
+
+        writer, loader = threading.Thread(target=write), threading.Thread(target=load)
+        writer.start()
+        loader.start()
+        try:
+            loader.join(timeout=10.0)
+            assert not loader.is_alive()
+            assert errors == ["line 2: beta_im is not a number: 'oops'"]
+        finally:
+            release.set()
+            writer.join()
+            loader.join()
+
+    def test_long_line_is_joined_once(self, monkeypatch):
+        # A line with no line end, read 256 bytes at a time: 8,192 reads
+        # that must not each copy the ones before them.
+        monkeypatch.setattr("telebound.data.BLOCK_SIZE", 256)
+        body = b"0" * (2 << 20)
+        start = time.perf_counter()
+        blocks = list(_blocks(io.BytesIO(body)))
+        assert time.perf_counter() - start < 0.5
+        assert blocks == [body]
 
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
     def test_dataset_rejects_fidelity_outside_unit_interval(self, bad):

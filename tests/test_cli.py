@@ -105,8 +105,12 @@ class TestQuad:
         assert "unknown prior" in err
 
     def test_gaussian_floor_is_input_error(self, capsys):
-        code, _, err = run(capsys, "quad", "--prior", "gaussian:1e-9", "--gain", "0.5")
-        assert code == 2
+        # The panel budget refuses a prior too flat to integrate, down to
+        # the smallest float, whose support radius is infinite.
+        for prior in ("gaussian:1e-9", "gaussian:5e-324"):
+            code, out, err = run(capsys, "quad", "--prior", prior, "--gain", "0.5")
+            assert (code, out) == (2, "")
+            assert "budget of 4635" in err
         # Radial spans wider than the floor Gaussian's alpha range fail
         # before any grid is allocated (7.45 and 74.5 GiB here).
         for prior, span in [("disk:1e9", "1e+09"), ("truncgauss:1e-300,1e10", "1e+10")]:
@@ -155,6 +159,14 @@ class TestQuad:
         code, _, err = run(capsys, "quad", "--prior", "disk:1", "--curve", str(path))
         assert code == 2
         assert err == f"error: {path}:2: not valid UTF-8 (invalid start byte)\n"
+
+    def test_curve_file_names_its_first_bad_line(self, capsys, tmp_path):
+        # A non-numeric node on line 2 comes before the bad byte on line 3.
+        path = tmp_path / "curve.txt"
+        path.write_bytes(b"0, 0\n1, x\n3.0, 0.9 \xff\n")
+        code, _, err = run(capsys, "quad", "--prior", "disk:1", "--curve", str(path))
+        assert code == 2
+        assert err == f"error: {path}:2: non-numeric node\n"
 
     @pytest.mark.parametrize("command", [("quad", "--gain", "0.5"), ("optimize", "--family", "gain")])
     def test_underflowing_prior_is_input_error(self, capsys, command):

@@ -119,8 +119,12 @@ class TestRestricted:
         assert res.value == pytest.approx(whole, abs=1e-8)
 
     def test_outside_with_huge_radius_vanishes(self):
+        # exp(-64) is below the truncation budget: the outside rule is
+        # empty, and the estimate still covers the mass it leaves out.
         res = restricted_fidelity_quad(1.0, 8.0, Gain(0.5), False)
-        assert res.value == pytest.approx(0.0, abs=1e-8)
+        assert res.value == 0.0
+        assert res.spec.outer_cut_radius == 14.627787054036341  # the alpha cut at b = 8
+        assert res.error_estimate >= tail_mass(1.0, 8.0)
 
     def test_pieces_sum_to_closed_form(self):
         f_in = restricted_fidelity_quad(1.0, 1.0, Gain(0.5), True)
@@ -200,8 +204,17 @@ class TestNumericalBehaviour:
         assert res.spec.outer_cut_radius > 1.0
 
     def test_gaussian_floor_rejected(self):
-        with pytest.raises(ValueError):
-            average_fidelity_quad(GaussianIso(1e-7), Gain(0.5))
+        # The panel budget refuses a prior too flat to integrate, down to
+        # lam = 5e-324, whose support radius, and so its span, is infinite.
+        for lam in (1e-7, 1e-9, 5e-324):
+            with pytest.raises(ValueError, match="over the budget of 4635"):
+                average_fidelity_quad(GaussianIso(lam), Gain(0.5))
+
+    @pytest.mark.parametrize("strategy", [Gain(1e308), RadialCurve(((0.0, 0.0), (1.0, 1e308)))],
+                             ids=["gain", "curve"])
+    def test_overflowing_guess_scores_zero_without_warning(self, strategy):
+        # pytest turns warnings into errors here, so an overflow warning fails.
+        assert average_fidelity_quad(GaussianIso(1.0), strategy).value == 0.0
 
     def test_spec_validation(self):
         for bad in (4, 8.5, math.nan):

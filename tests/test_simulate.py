@@ -299,6 +299,14 @@ class TestInPlaceRounds:
         assert (est.mean, est.std_error) == (0.0, 0.0)
         assert not generate_dataset(1e154, 1000, Gain(g), seed=3).fidelity.any()
 
+    @pytest.mark.parametrize("strategy", [Gain(1e308), RadialCurve(((0.0, 0.0), (1.0, 1e308)))],
+                             ids=["gain", "curve"])
+    def test_overflowing_guesses_score_zero_without_a_warning(self, strategy):
+        # Here the guess itself passes the largest float.
+        est = simulate(UniformDisk(2.0), strategy, 1000, seed=3)
+        assert (est.mean, est.std_error) == (0.0, 0.0)
+        assert not generate_dataset(2.0, 1000, strategy, seed=3).fidelity.any()
+
     @pytest.mark.parametrize("strategy", [Gain(0.5), CURVE], ids=["gain", "curve"])
     def test_peak_memory_is_one_buffer_set_per_worker(self, strategy):
         # Each worker's buffers, one float chunk and one block set (two
