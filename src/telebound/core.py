@@ -16,9 +16,10 @@ bounds.gain_fidelity read these.
 prior.support_radius(tail), the radius holding all but `tail` of the
 prior's own mass, is the one cut that the quadrature and the optimizer read.
 
-A strategy applies itself: guess_factor(alpha, out) is the real factor that
-takes outcomes to their guesses and kinks the radii where the guess modulus
-bends, so no other module asks whether it holds a Gain or a RadialCurve.
+A strategy applies itself: guess_factor(alpha, out, *scratch) is the real
+factor that takes outcomes to their guesses and kinks the radii where the
+guess modulus bends, so no other module asks whether it holds a Gain or a
+RadialCurve.
 
 seeded_stream(seed, i), a Philox generator on SeedSequence(seed,
 spawn_key=(i,)), is the one random stream: simulation chunk i draws stream i
@@ -213,9 +214,9 @@ class Gain:
     def guess_radius(self, r: np.ndarray) -> np.ndarray:
         return self.g * np.asarray(r, dtype=float)
 
-    def guess_factor(self, alpha, out):
+    def guess_factor(self, alpha, out, *scratch):
         """The real factor taking outcomes alpha to their guesses: g. The
-        float buffer out is not used."""
+        float buffers out and scratch are not used."""
         return self.g
 
 
@@ -226,13 +227,22 @@ class RadialCurve:
     nodes are (outcome radius, guess radius) pairs with strictly increasing
     radii starting at 0. Between nodes the guess radius is linear in the
     outcome radius; beyond the last node the last node's ratio is kept, so
-    far out the curve behaves like a plain gain.
+    far out the curve behaves like a plain gain. A segment whose slope
+    overflows a float is refused.
+
+    guess_radius finds each radius's segment in a table of evenly spaced
+    buckets over [0, last node radius], built once here. Each bucket names
+    the segment at its left edge; a radius then moves past the nodes that
+    share its bucket by a branchless binary search, whose probes the
+    constructor lists (one probe when no two nodes share a bucket).
     """
 
     nodes: tuple
 
     def __post_init__(self):
-        nodes = tuple((float(r), float(rho)) for r, rho in self.nodes)
+        # A guess radius of -0.0 becomes 0.0, so that the lookup's
+        # slope * 0 + rho gives a node's own guess at its radius.
+        nodes = tuple((float(r), float(rho) + 0.0) for r, rho in self.nodes)
         object.__setattr__(self, "nodes", nodes)
         if len(nodes) < 2:
             raise ValueError("RadialCurve needs at least 2 nodes")
@@ -246,28 +256,85 @@ class RadialCurve:
             raise ValueError("RadialCurve node radii must be strictly increasing")
         if any(rho < 0.0 for rho in rhos):
             raise ValueError("RadialCurve guess radii must be >= 0")
-        # guess_radius interpolates on these for every block of outcomes.
-        object.__setattr__(self, "_radii", np.array(rs))
-        object.__setattr__(self, "_guesses", np.array(rhos))
+        radii, guesses = np.array(rs), np.array(rhos)
+        # np.interp's slopes, in its operation order.
+        with np.errstate(over="ignore"):
+            slopes = np.diff(guesses) / np.diff(radii)
+        if not np.isfinite(slopes).all():
+            raise ValueError("RadialCurve node slopes must be finite")
+        last = rs[-1]
+        # Four buckets per segment; a scale that overflows (a last radius
+        # below about 1e-308) is capped, which only puts nodes in one bucket.
+        scale = min(4.0 * (len(rs) - 1) / last, sys.float_info.max)
+        # Bucket of a radius r: int(min(r, last) * scale), as guess_radius
+        # computes it, so a node's bucket is its radius's. Each bucket names
+        # the last node in an earlier bucket, which lies below any radius
+        # in this one.
+        bucket = (radii * scale).astype(np.intp)
+        table = np.maximum(np.searchsorted(bucket, np.arange(bucket[-1] + 1)) - 1, 0)
+        # A radius lies at most `shared` nodes past its bucket's segment, so
+        # a binary search over shared + 1 candidates finds its own.
+        shared = int(np.bincount(bucket[1:]).max())
+        halves, size = [], shared + 1
+        while size > 1:
+            halves.append(size // 2)
+            size -= size // 2
+        padded = np.concatenate((radii, np.full(max(halves), np.inf)))
+        lookup = {
+            "_last": last,
+            "_ratio": rhos[-1] / last,
+            "_scale": scale,
+            "_table": table,
+            # The probe at step h reads the radius h nodes past a segment.
+            "_probes": tuple((h, padded[h:h + len(rs)]) for h in halves),
+            "_radii": radii,
+            # The last node is a segment of slope 0, which gives its own
+            # guess at its radius.
+            "_slopes": np.append(slopes, 0.0),
+            "_guesses": guesses,
+        }
+        for name, value in lookup.items():
+            object.__setattr__(self, name, value)
 
-    def guess_radius(self, r: np.ndarray) -> np.ndarray:
+    def guess_radius(self, r: np.ndarray, work=None) -> np.ndarray:
+        """Guess radius for outcome radii r >= 0 (any shape): bit for bit
+        np.interp over the nodes up to the last node's radius, and the last
+        node's ratio beyond it. work, when given, is three float arrays of
+        r's shape that the call overwrites; the result is the second."""
         r = np.asarray(r, dtype=float)
-        out = np.asarray(np.interp(r, self._radii, self._guesses))
-        last_r, last_rho = self.nodes[-1]
-        return np.multiply(last_rho / last_r, r, out=out, where=r > last_r)
+        scaled, guess, part = work if work is not None else [np.empty(r.shape) for _ in range(3)]
+        # min(r, last) before the cast: a radius of 1e300 still has a bucket.
+        np.fmin(r, self._last, out=scaled)
+        scaled *= self._scale
+        bucket = guess.view(np.intp)
+        np.copyto(bucket, scaled, casting="unsafe")
+        # take(mode="clip") writes straight into out; mode="raise" buffers it.
+        segment = np.take(self._table, bucket, out=scaled.view(np.intp), mode="clip")
+        for h, probe in self._probes:
+            past = np.greater_equal(r, np.take(probe, segment, out=guess, mode="clip"))
+            # A masked add runs about six times slower than these.
+            segment += past if h == 1 else np.multiply(past, h, out=part.view(np.intp))
+        # slope * (r - radius) + guess, as np.interp evaluates a segment.
+        np.subtract(r, np.take(self._radii, segment, out=guess, mode="clip"), out=guess)
+        guess *= np.take(self._slopes, segment, out=part, mode="clip")
+        guess += np.take(self._guesses, segment, out=part, mode="clip")
+        return np.multiply(self._ratio, r, out=guess, where=r > self._last)
 
     @property
     def kinks(self) -> tuple:
         """The node radii, where the guess modulus has its kinks."""
         return tuple(r for r, _ in self.nodes)
 
-    def guess_factor(self, alpha, out):
+    def guess_factor(self, alpha, out, *scratch):
         """The real factor taking outcomes alpha to their guesses: the guess
         modulus over |alpha|, written into out, a float buffer of alpha's
-        shape, and returned. The origin keeps the factor 0."""
+        shape, and returned. scratch holds up to three more such buffers
+        that the call may overwrite; it allocates the rest. The origin keeps
+        the factor 0."""
         r = np.abs(alpha, out=out)
+        work = [*scratch, *(np.empty(r.shape) for _ in range(3 - len(scratch)))]
         # Where r is 0 the division is skipped and r keeps its 0.
-        return np.divide(self.guess_radius(r), r, out=r, where=r > 0.0)
+        return np.divide(self.guess_radius(r, work), r, out=r, where=r > 0.0)
 
 
 Strategy = Union[Gain, RadialCurve]
@@ -277,10 +344,17 @@ def apply_strategy(strategy: Strategy, alpha):
     """Guess amplitude for the measurement outcome `alpha`.
 
     The guess keeps the direction of alpha; its modulus is the strategy's
-    radial profile evaluated at |alpha|. The origin maps to the origin. A
-    scalar alpha gives a complex; an array gives an array of its shape. A
-    non-finite alpha, or array element, raises ValueError.
+    radial profile evaluated at |alpha|. Each component of alpha is scaled
+    by the real guess factor on its own, and a zero component stays zero,
+    so the origin maps to the origin and a guess that overflows is
+    infinite along alpha's direction, with no NaN part and no warning. A
+    scalar alpha gives a complex; an array gives a complex array of its
+    shape. A non-finite alpha, or array element, raises ValueError.
     """
     a = np.asarray(_require_finite(alpha, "alpha"))
-    guess = a * strategy.guess_factor(a, np.empty(a.shape))
+    guess = a.astype(complex)
+    with np.errstate(over="ignore"):
+        factor = strategy.guess_factor(a, np.empty(a.shape))
+        for part in (guess.real, guess.imag):
+            np.multiply(part, factor, out=part, where=part != 0.0)
     return complex(guess) if guess.ndim == 0 else guess

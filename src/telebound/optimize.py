@@ -151,12 +151,14 @@ def _search_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int,
     check_positive(tol, "tol")
     if prior.support_radius(1e-4) <= 1e-6:
         raise ValueError(f"prior support is degenerate: {prior!r}")
+    # The rule's panel budget refuses a prior too flat to integrate, before
+    # its node radii could reach inf.
+    rule = BetaRule.for_prior(prior, QuadratureSpec())
     radii = _curve_node_radii(prior, n_nodes)
 
     # The first node sits at the origin, where the best guess is the origin;
     # the other nodes' slices are independent, so they are searched together.
     r = radii[1:]
-    rule = BetaRule.for_prior(prior, QuadratureSpec())
 
     # A 25-point scan brackets each node's maximizer. None has been seen
     # above 2/3 of this range, so one search settles every node: a wider

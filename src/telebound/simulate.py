@@ -174,9 +174,10 @@ def _round(prior: Prior, strategy: Strategy, seed: int, index: int, beta, fid, b
         np.multiply(noise.standard_normal(out=im[:m]), NOISE_STD, out=a.imag)
         np.add(b, a, out=a)
         # A guess far from its input overflows, or its |guess - beta|^2 does;
-        # exp(-inf) = 0 is exact.
+        # exp(-inf) = 0 is exact. The noise buffers im and fid[rows] are
+        # spent, so the guess factor may use them as scratch.
         with np.errstate(over="ignore"):
-            np.multiply(a, strategy.guess_factor(a, r), out=a)
+            np.multiply(a, strategy.guess_factor(a, r, im[:m], fid[rows]), out=a)
             overlap(np.subtract(a, b, out=a), out=fid[rows])
 
 

@@ -124,7 +124,9 @@ class TestQuad:
         ("0,0\n1,0.5\n0.5,1\n", 3),
         ("# radius, guess radius\n0,0\n\n1,0.5\n2,-1\n", 5),
         ("1,0\n2,1\n", 1),
-    ], ids=["one-field", "nan-radius", "falling-radius", "negative-guess", "no-origin"])
+        ("0,0\n1,0.5\n1.000000000000001,1e300\n", 3),
+    ], ids=["one-field", "nan-radius", "falling-radius", "negative-guess", "no-origin",
+            "slope-overflows"])
     def test_malformed_curve_file(self, capsys, tmp_path, text, line):
         # RadialCurve's rules are named at the first node that breaks one,
         # by the one parser every command's strategy goes through.
@@ -196,6 +198,14 @@ class TestOptimize:
         code, out, err = run(capsys, "optimize", "--prior", prior, "--family", "curve")
         assert (code, out) == (2, "")
         assert err.startswith("error: prior support is degenerate")
+
+    def test_flat_prior_is_refused_before_any_node_radius(self, capsys):
+        # The node radii of a prior whose support radius is infinite would
+        # be np.linspace(0, inf), which warns; pytest turns that into an
+        # error here. The panel budget refuses the prior first.
+        code, out, err = run(capsys, "optimize", "--prior", "gaussian:5e-324", "--family", "curve")
+        assert (code, out) == (2, "")
+        assert "budget of 4635" in err
 
     def test_unreachable_tolerance_is_numerical_failure(self, capsys):
         code, _, err = run(capsys, "optimize", "--prior", "disk:1", "--family", "curve",

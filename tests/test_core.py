@@ -264,7 +264,18 @@ class TestApplyStrategy:
             with pytest.raises(ValueError, match="^alpha must be finite"):
                 apply_strategy(strategy, alpha)
 
+    @pytest.mark.parametrize("strategy", [RadialCurve(((0.0, 0.0), (1.0, 1e308))), Gain(1e308)],
+                             ids=["curve", "gain"])
+    def test_overflowing_guess_keeps_the_direction(self, strategy):
+        # The curve's factor is itself inf, and inf * 0 in a complex multiply
+        # gave (inf+nanj). pytest turns any warning into an error here.
+        out = apply_strategy(strategy, 2 + 0j)
+        assert (out.real, out.imag) == (math.inf, 0.0)
+        assert math.copysign(1.0, out.imag) == 1.0
+
     def test_curve_validation(self):
+        with pytest.raises(ValueError, match="slopes must be finite"):
+            RadialCurve(((0.0, 0.0), (1e-310, 1.0)))  # slope 1e310 overflows
         with pytest.raises(ValueError):
             RadialCurve(((0.5, 0.1), (1.0, 0.2)))  # must start at 0
         with pytest.raises(ValueError):
@@ -275,3 +286,66 @@ class TestApplyStrategy:
             RadialCurve(((0.0, 0.1),))  # needs two nodes
         with pytest.raises(ValueError):
             Gain(-0.5)
+
+
+class TestCurveLookup:
+    """RadialCurve.guess_radius finds segments in a bucket table; up to the
+    last node it must give np.interp's bits, and the last node's ratio
+    beyond it."""
+
+    @staticmethod
+    def reference(curve, r):
+        radii, guesses = (np.array(column) for column in zip(*curve.nodes))
+        last_r, last_rho = curve.nodes[-1]
+        return np.where(r > last_r, last_rho / last_r * r, np.interp(r, radii, guesses))
+
+    @staticmethod
+    def radii_for(curve, rng):
+        nodes = np.array([r for r, _ in curve.nodes])
+        last = nodes[-1]
+        return np.concatenate([nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf),
+                               rng.random(2000) * last, np.abs(rng.normal(size=2000)) * last,
+                               [0.0, 1.5 * last, 1e300]])
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 300])
+    @pytest.mark.parametrize("spacing", ["random", "even", "geometric"])
+    def test_matches_interp_bit_for_bit(self, n, spacing):
+        rng = np.random.default_rng(n)
+        if spacing == "random":
+            radii = np.concatenate(([0.0], np.sort(rng.choice(10**6, n - 1, replace=False) + 1.0)))
+            radii *= rng.random() * 10.0 / radii[-1]
+        elif spacing == "even":
+            radii = np.linspace(0.0, 7.5, n)
+        else:
+            radii = np.concatenate(([0.0], np.geomspace(1e-9, 1.0, n - 1)))
+        # Guess ratios stay below 1, so 1e300 does not overflow the ratio.
+        curve = RadialCurve(tuple(zip(radii, rng.random(n) * radii[-1])))
+        r = self.radii_for(curve, rng)
+        assert curve.guess_radius(r).tobytes() == self.reference(curve, r).tobytes()
+
+    @pytest.mark.parametrize("nodes", [((0.0, 0.2), (1e-9, 0.7), (1.0, 0.5)),
+                                       ((0.0, 0.0), (1.0, 0.5), (1.0 + 1e-12, 0.9), (2.0, 1.0)),
+                                       ((0.0, 0.0), (1e-309, 1e-310))])
+    def test_clustered_nodes(self, nodes):
+        curve = RadialCurve(nodes)
+        r = self.radii_for(curve, np.random.default_rng(1))
+        assert curve.guess_radius(r).tobytes() == self.reference(curve, r).tobytes()
+
+    def test_scalar_and_zero_d_input(self):
+        curve = RadialCurve(((0.0, 0.0), (1.0, 0.6), (3.0, 1.2)))
+        for r in (0.0, 1.0, 2.0, 3.0, 4.5, 1e300, np.float64(0.5)):
+            out = curve.guess_radius(r)
+            assert out.shape == () and out.tobytes() == self.reference(curve, np.asarray(r)).tobytes()
+
+    def test_negative_zero_guess_is_zero(self):
+        curve = RadialCurve(((0.0, -0.0), (1.0, 0.5)))
+        assert curve.nodes[0] == (0.0, 0.0) and math.copysign(1.0, curve.nodes[0][1]) == 1.0
+        assert curve.guess_radius(0.0).tobytes() == np.float64(0.0).tobytes()
+
+    def test_scratch_buffers_give_the_same_factor(self):
+        curve = RadialCurve(((0.0, 0.0), (1.0, 0.6), (3.0, 1.2)))
+        rng = np.random.default_rng(3)
+        alpha = rng.normal(size=5000) * 2 + 1j * rng.normal(size=5000) * 2
+        alone = curve.guess_factor(alpha, np.empty(5000)).copy()
+        shared = curve.guess_factor(alpha, np.empty(5000), np.empty(5000), np.empty(5000))
+        assert shared.tobytes() == alone.tobytes()

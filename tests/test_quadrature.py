@@ -64,13 +64,14 @@ class TestOracleAgreement:
         assert average_fidelity_quad(UniformDisk(1.0), Gain(0.0)).value == pytest.approx(0.632121, abs=1e-6)
 
     def test_wide_gaussian_prior(self):
-        # a wide prior: both radial grids reach past 45, where z = 2 (a + rho) b
-        # runs into the thousands and the large-z Bessel expansion dominates
-        lam = 0.01
-        g = optimal_gain_gaussian(lam)
-        res = average_fidelity_quad(GaussianIso(lam), Gain(g))
-        assert abs(res.value - gaussian_gain_fidelity(lam, g)) <= res.error_estimate
-        assert res.error_estimate <= res.spec.truncation_tol
+        # wide priors: both radial grids reach past 45 (past 150 at 1e-3),
+        # where z = 2 (a + rho) b runs into the thousands and the large-z
+        # Bessel expansion dominates
+        for lam in (0.01, 1e-3):
+            g = optimal_gain_gaussian(lam)
+            res = average_fidelity_quad(GaussianIso(lam), Gain(g))
+            assert abs(res.value - gaussian_gain_fidelity(lam, g)) <= res.error_estimate
+            assert res.error_estimate <= res.spec.truncation_tol
 
     @pytest.mark.parametrize("lam", [1e3, 1e6, 1e10])
     def test_narrow_truncated_gaussian(self, lam):
@@ -247,6 +248,23 @@ class TestKernelBlocks:
             slices = BetaRule.for_prior(GaussianIso(lam), QuadratureSpec())(a, rho)
             results.append((quad, slices.tobytes()))
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("prior, strategy", [
+        (GaussianIso(0.05), Gain(optimal_gain_gaussian(0.05))),
+        (TruncatedGaussian(0.2, 6.0), Gain(0.6)),
+        (UniformDisk(3.0), CURVE),
+    ], ids=["gaussian", "truncated", "curve"])
+    def test_band_moves_values_by_less_than_its_bound(self, monkeypatch, prior, strategy):
+        spec = QuadratureSpec()
+        fine = BetaRule(prior.radial_density, 0.0, prior.support_radius(spec.truncation_tol / 2.0),
+                        spec, mult=2)
+        band = quadrature._band_error(fine)
+        banded = average_fidelity_quad(prior, strategy, spec)
+        monkeypatch.setattr(quadrature, "_BAND", math.inf)
+        assert quadrature._band_error(fine) == 0.0
+        full = average_fidelity_quad(prior, strategy, spec)
+        assert 0.0 < band < 1e-20
+        assert abs(banded.value - full.value) <= band + 8.0 * np.finfo(float).eps * abs(full.value)
 
     def test_peak_memory_is_a_few_blocks(self):
         # The kernel is built one block of rows at a time, so a wide prior's
