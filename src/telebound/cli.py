@@ -21,7 +21,7 @@ import sys
 
 from .bounds import gaussian_bound
 from .certify import verdict
-from .core import Gain, GaussianIso, Prior, RadialCurve, TruncatedGaussian, UniformDisk
+from .core import Gain, GaussianIso, Prior, RadialCurve, TruncatedGaussian, UniformDisk, check_curve_node
 from .data import DatasetFormatError, load_dataset, utf8_error, write_dataset
 from .optimize import ConvergenceError, optimize_gain, optimize_guess_curve
 from .quadrature import QuadratureSpec, average_fidelity_quad
@@ -60,11 +60,10 @@ def _parse_model(text: str):
 
 
 def _load_curve(path: str) -> RadialCurve:
-    nodes, node_lines = [], []
+    nodes, previous = [], None
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            reason = utf8_error(line.encode("utf-8", "surrogateescape"))  # the escape is lossless
-            if reason is not None:
+            if not line.isascii() and (reason := utf8_error(line.encode("utf-8", "surrogateescape"))):
                 raise ValueError(f"{path}:{line_no}: not valid UTF-8 ({reason})")
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -73,24 +72,18 @@ def _load_curve(path: str) -> RadialCurve:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{line_no}: expected 'radius,guess_radius'")
             try:
-                nodes.append((float(parts[0]), float(parts[1])))
+                node = (float(parts[0]), float(parts[1]))
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: non-numeric node") from None
-            node_lines.append(line_no)
+            try:
+                check_curve_node(node, previous)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            nodes.append(previous := node)
     try:
         return RadialCurve(tuple(nodes))
-    except ValueError as exc:
-        reason = exc
-    # RadialCurve ties each node to the one before it only, so the first bad
-    # node ends the shortest prefix it rejects. The first node is tried with
-    # a copy of itself one unit further out.
-    for k, line_no in enumerate(node_lines):
-        probe = nodes[:k + 1] if k else [nodes[0], (nodes[0][0] + 1.0, nodes[0][1])]
-        try:
-            RadialCurve(tuple(probe))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
-    raise ValueError(f"{path}: {reason}")
+    except ValueError as exc:  # fewer than 2 nodes
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _print_rows(rows) -> None:

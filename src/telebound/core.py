@@ -36,7 +36,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -220,15 +220,33 @@ class Gain:
         return self.g
 
 
+def check_curve_node(node: tuple, previous: Optional[tuple] = None) -> None:
+    """Raise ValueError naming the first RadialCurve rule that node, a
+    (radius, guess radius) pair of floats, breaks after previous, the node
+    before it (None for the first). No rule reaches further back, so a
+    reader can check each node as it reads it."""
+    r, rho = node
+    if previous is None and r != 0.0:
+        raise ValueError("RadialCurve nodes must start at radius 0")
+    if not (math.isfinite(r) and math.isfinite(rho)):
+        raise ValueError("RadialCurve nodes must be finite")
+    if previous is not None and r <= previous[0]:
+        raise ValueError("RadialCurve node radii must be strictly increasing")
+    if rho < 0.0:
+        raise ValueError("RadialCurve guess radii must be >= 0")
+    # np.interp's slope, in its operation order; a quotient that overflows is inf.
+    if previous is not None and not math.isfinite((rho - previous[1]) / (r - previous[0])):
+        raise ValueError("RadialCurve node slopes must be finite")
+
+
 @dataclass(frozen=True)
 class RadialCurve:
     """Tabulated radial guess profile.
 
-    nodes are (outcome radius, guess radius) pairs with strictly increasing
-    radii starting at 0. Between nodes the guess radius is linear in the
-    outcome radius; beyond the last node the last node's ratio is kept, so
-    far out the curve behaves like a plain gain. A segment whose slope
-    overflows a float is refused.
+    nodes are (outcome radius, guess radius) pairs, radii strictly rising
+    from 0, that keep check_curve_node's rules. Between nodes the guess
+    radius is linear in the outcome radius; beyond the last node the last
+    node's ratio is kept, so far out the curve behaves like a plain gain.
 
     guess_radius finds each radius's segment in a table of evenly spaced
     buckets over [0, last node radius], built once here. Each bucket names
@@ -246,26 +264,15 @@ class RadialCurve:
         object.__setattr__(self, "nodes", nodes)
         if len(nodes) < 2:
             raise ValueError("RadialCurve needs at least 2 nodes")
-        rs = [r for r, _ in nodes]
-        rhos = [rho for _, rho in nodes]
-        if rs[0] != 0.0:
-            raise ValueError("RadialCurve nodes must start at radius 0")
-        if any(not math.isfinite(v) for v in rs + rhos):
-            raise ValueError("RadialCurve nodes must be finite")
-        if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
-            raise ValueError("RadialCurve node radii must be strictly increasing")
-        if any(rho < 0.0 for rho in rhos):
-            raise ValueError("RadialCurve guess radii must be >= 0")
-        radii, guesses = np.array(rs), np.array(rhos)
-        # np.interp's slopes, in its operation order.
-        with np.errstate(over="ignore"):
-            slopes = np.diff(guesses) / np.diff(radii)
-        if not np.isfinite(slopes).all():
-            raise ValueError("RadialCurve node slopes must be finite")
-        last = rs[-1]
+        for previous, node in zip((None,) + nodes, nodes):
+            check_curve_node(node, previous)
+        radii, guesses = map(np.array, zip(*nodes))
+        # np.interp's slopes, in its operation order, as check_curve_node's.
+        slopes = np.diff(guesses) / np.diff(radii)
+        last = nodes[-1][0]
         # Four buckets per segment; a scale that overflows (a last radius
         # below about 1e-308) is capped, which only puts nodes in one bucket.
-        scale = min(4.0 * (len(rs) - 1) / last, sys.float_info.max)
+        scale = min(4.0 * (len(nodes) - 1) / last, sys.float_info.max)
         # Bucket of a radius r: int(min(r, last) * scale), as guess_radius
         # computes it, so a node's bucket is its radius's. Each bucket names
         # the last node in an earlier bucket, which lies below any radius
@@ -282,11 +289,11 @@ class RadialCurve:
         padded = np.concatenate((radii, np.full(max(halves), np.inf)))
         lookup = {
             "_last": last,
-            "_ratio": rhos[-1] / last,
+            "_ratio": nodes[-1][1] / last,
             "_scale": scale,
             "_table": table,
             # The probe at step h reads the radius h nodes past a segment.
-            "_probes": tuple((h, padded[h:h + len(rs)]) for h in halves),
+            "_probes": tuple((h, padded[h:h + len(nodes)]) for h in halves),
             "_radii": radii,
             # The last node is a segment of slope 0, which gives its own
             # guess at its radius.

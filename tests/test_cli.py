@@ -1,12 +1,14 @@
 import json
 import math
 import multiprocessing
+import os
 import threading
 
 import pytest
 
 from telebound import cli
 from telebound.cli import build_parser, main
+from telebound.core import RadialCurve
 from telebound.data import write_dataset
 from telebound.simulate import CHUNK_SIZE, generate_dataset
 
@@ -162,6 +164,13 @@ class TestQuad:
         assert code == 2
         assert err == f"error: {path}:2: not valid UTF-8 (invalid start byte)\n"
 
+    def test_non_ascii_curve_text_is_read(self, tmp_path):
+        # Lines that are not ASCII go through the UTF-8 check and pass it:
+        # a BOM and comments outside ASCII.
+        path = tmp_path / "curve.txt"
+        path.write_bytes("\ufeff0, 0  # \u03c1 = 0\n1, 0.45\n3.0 0.9  # \u2248 0.3\n".encode())
+        assert cli._load_curve(str(path)).nodes == ((0.0, 0.0), (1.0, 0.45), (3.0, 0.9))
+
     def test_curve_file_names_its_first_bad_line(self, capsys, tmp_path):
         # A non-numeric node on line 2 comes before the bad byte on line 3.
         path = tmp_path / "curve.txt"
@@ -169,6 +178,67 @@ class TestQuad:
         code, _, err = run(capsys, "quad", "--prior", "disk:1", "--curve", str(path))
         assert code == 2
         assert err == f"error: {path}:2: non-numeric node\n"
+
+    @pytest.mark.parametrize("data, error", [
+        (b"0,0\n1,0.5\n0.5,1\n3,x\n", "3: RadialCurve node radii must be strictly increasing"),
+        (b"0,0\n1,-1\n2,1\n3,0.9 \xff\n", "2: RadialCurve guess radii must be >= 0"),
+    ], ids=["rule-before-number", "rule-before-byte"])
+    def test_curve_rule_break_comes_before_a_later_parse_error(self, capsys, tmp_path, data, error):
+        # Each node is checked against the curve rules as it is read, so a
+        # rule break is named before a bad number or byte further down.
+        path = tmp_path / "curve.txt"
+        path.write_bytes(data)
+        code, _, err = run(capsys, "quad", "--prior", "disk:1", "--curve", str(path))
+        assert code == 2
+        assert err == f"error: {path}:{error}\n"
+
+    def test_long_curve_file_builds_its_curve_once(self, monkeypatch, tmp_path):
+        # A rule break on the last of 16,001 lines is found as that line is
+        # read, with no curve built; the 16,000 valid lines before it build
+        # one.
+        builds = []
+        monkeypatch.setattr(cli, "RadialCurve", lambda nodes: builds.append(1) or RadialCurve(nodes))
+        lines = [f"{k},{0.5 * k}\n" for k in range(16_000)]
+        path = tmp_path / "curve.txt"
+        path.write_text("".join(lines) + "15999,1\n")
+        with pytest.raises(ValueError) as exc:
+            cli._load_curve(str(path))
+        assert str(exc.value) == f"{path}:16001: RadialCurve node radii must be strictly increasing"
+        assert builds == []
+        path.write_text("".join(lines))
+        assert len(cli._load_curve(str(path)).nodes) == 16_000
+        assert builds == [1]
+
+    def test_curve_pipe_stops_at_the_first_bad_line(self):
+        # A falling radius on line 2, and the writer keeps the pipe open
+        # after it: the reader must not wait for the rest.
+        read_fd, write_fd = os.pipe()
+        path = f"/dev/fd/{read_fd}"
+        release, errors = threading.Event(), []
+
+        def write():
+            os.write(write_fd, b"0,0\n-1,0.5\n" + b"1,0.5\n" * 1000)
+            release.wait()
+            os.close(write_fd)
+
+        def load():
+            try:
+                cli._load_curve(path)
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        writer, loader = threading.Thread(target=write), threading.Thread(target=load)
+        writer.start()
+        loader.start()
+        try:
+            loader.join(timeout=10.0)
+            assert not loader.is_alive()
+            assert errors == [f"{path}:2: RadialCurve node radii must be strictly increasing"]
+        finally:
+            release.set()
+            writer.join()
+            loader.join()
+            os.close(read_fd)
 
     @pytest.mark.parametrize("command", [("quad", "--gain", "0.5"), ("optimize", "--family", "gain")])
     def test_underflowing_prior_is_input_error(self, capsys, command):
