@@ -56,17 +56,6 @@ class OptimizationReport:
     converged: bool = True
 
 
-def _scan(f, lo: np.ndarray, hi: np.ndarray, n: int):
-    """Scan n points of each bracket [lo, hi], 1-D arrays, in one call of f
-    on an array of shape (n, lo.size). Returns the best points, their values
-    and the best points' neighbours, the narrowed brackets."""
-    xs = np.linspace(lo, hi, n)
-    ys = f(xs)
-    i = np.argmax(ys, axis=0)
-    j = np.arange(lo.size)
-    return xs[i, j], ys[i, j], xs[np.maximum(i - 1, 0), j], xs[np.minimum(i + 1, n - 1), j]
-
-
 def _refine_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
     """Maxima of f on the brackets [lo, hi], elementwise and in lockstep.
 
@@ -88,8 +77,11 @@ def _refine_max(f, lo: np.ndarray, hi: np.ndarray, tol: float):
     evals = np.zeros(lo.shape, dtype=int)
     live = np.ones(lo.shape, dtype=bool)
     while live.any():
-        x[live], fx[live], lo[live], hi[live] = _scan(lambda xs: f(xs, live), lo[live], hi[live],
-                                                      _REFINE_POINTS)
+        xs = np.linspace(lo[live], hi[live], _REFINE_POINTS)
+        ys = f(xs, live)
+        i, j = np.argmax(ys, axis=0), np.arange(xs.shape[1])
+        x[live], fx[live] = xs[i, j], ys[i, j]
+        lo[live], hi[live] = xs[np.maximum(i - 1, 0), j], xs[np.minimum(i + 1, _REFINE_POINTS - 1), j]
         evals[live] += _REFINE_POINTS
         resolution = (_REFINE_POINTS - 1) * np.spacing(np.maximum(abs(lo), abs(hi)))
         live = live & (hi - lo > tol) & (hi - lo > resolution)
@@ -121,24 +113,19 @@ def optimize_gain(prior: Prior, tol: float = 1e-6) -> OptimizationReport:
                     tol)
 
 
-def _curve_node_radii(prior: Prior, n_nodes: int) -> np.ndarray:
-    # Outcomes concentrate within the prior support plus a few noise widths;
-    # past the last node the constant-ratio extrapolation takes over.
-    reach = prior.support_radius(1e-4) + 2.5
-    return np.linspace(0.0, reach, n_nodes)
-
-
 def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3) -> OptimizationReport:
     """Best tabulated radial guess curve for `prior`.
 
     Each node's guess radius maximizes the single-outcome slice integral at
     the node's radius, which is exact up to the interpolation between nodes.
-    The slices do not depend on each other, so all nodes are scanned and
-    refined in lockstep, to tol * 1e-2; convergence_gap is the widest final
-    node bracket. The curve is then scored once by the quadrature engine and
-    kept unless the best gain, as a curve, scores higher. Raises
-    ConvergenceError with that report if a node cannot narrow to its
-    tolerance.
+    The slices do not depend on each other, so all nodes are refined in
+    lockstep, to tol * 1e-2, each on [max(0, r - reach), r] for its radius
+    r: a slice is unimodal in the guess radius, no guess beyond r beats r,
+    and the quadrature band makes a slice 0 more than reach below r.
+    convergence_gap is the widest final node bracket. The curve is then
+    scored once by the quadrature engine and kept unless the best gain, as
+    a curve, scores higher. Raises ConvergenceError with that report if a
+    node cannot narrow to its tolerance.
     """
     return _search_curve(prior, optimize_gain(prior, tol=min(tol, 1e-6)), n_nodes, tol)
 
@@ -149,33 +136,35 @@ def _search_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int,
     `prior` at tol min(tol, 1e-6)."""
     check_count(n_nodes, "n_nodes", 4)
     check_positive(tol, "tol")
-    if prior.support_radius(1e-4) <= 1e-6:
+    support = prior.support_radius(1e-4)
+    if support <= 1e-6:
         raise ValueError(f"prior support is degenerate: {prior!r}")
     # The rule's panel budget refuses a prior too flat to integrate, before
     # its node radii could reach inf.
     rule = BetaRule.for_prior(prior, QuadratureSpec())
-    radii = _curve_node_radii(prior, n_nodes)
+    # Outcomes concentrate within the prior support plus a few noise widths;
+    # past the last node the constant-ratio extrapolation takes over.
+    radii = np.linspace(0.0, support + 2.5, n_nodes)
 
     # The first node sits at the origin, where the best guess is the origin;
     # the other nodes' slices are independent, so they are searched together.
     r = radii[1:]
 
-    # A 25-point scan brackets each node's maximizer. None has been seen
-    # above 2/3 of this range, so one search settles every node: a wider
-    # range would change nothing.
-    g = gain_report.best_strategy.g
-    grid = 25
-    _, _, lo, hi = _scan(lambda rho: rule(r, rho), np.zeros_like(r),
-                         np.maximum(GAIN_SEARCH_MAX * r, g * r + 1.0), grid)
-    rho, _, counts, width = _refine_max(lambda rho, live: rule(r[live], rho), lo, hi, tol * 1e-2)
+    # A slice is exp(-(r - rho)^2 / 2) G((r + rho) / 2), with G the prior
+    # smoothed by a Gaussian. For every truncated Gaussian G is radially
+    # non-increasing (Anderson) and log-concave (Prekopa): no rho > r beats
+    # rho = r, the slice is unimodal in rho, and the band makes it exactly 0
+    # below r - rule.reach.
+    rho, _, counts, width = _refine_max(lambda rho, live: rule(r[live], rho),
+                                        np.maximum(r - rule.reach, 0.0), r, tol * 1e-2)
 
     curve = RadialCurve(tuple(zip(radii, np.concatenate(([0.0], rho)))))
     value = rule.average(curve)
-    evals = gain_report.evaluations + grid * r.size + int(counts.sum()) + 1
+    evals = gain_report.evaluations + int(counts.sum()) + 1
     # The curve family holds the best gain as the curve g * radii. It is
     # scored only if the search's curve falls below the gain, and wins a tie.
     if value < gain_report.best_value:
-        start = RadialCurve(tuple(zip(radii, g * radii)))
+        start = RadialCurve(tuple(zip(radii, gain_report.best_strategy.g * radii)))
         start_value = rule.average(start)
         evals += 1
         if start_value >= value:

@@ -210,8 +210,10 @@ def _panel_rule(lo: float, hi: float, spec: QuadratureSpec, nodes: int, breaks=(
     budget = math.ceil(floor_cut / width)
     panels = span / width
     if panels > budget:
+        # At the budget's digit count a count prints whole, or rounds to at
+        # least 10^digits: never to the budget or below it.
         raise ValueError(
-            f"radial span {span:g} needs {panels if panels == math.inf else math.ceil(panels)} panels "
+            f"radial span {span:g} needs {np.ceil(panels):.{len(str(budget))}g} panels "
             f"of width {width:g}, over the budget of {budget}: the alpha range of a whole-plane "
             f"Gaussian at lam = {GAUSSIAN_LAMBDA_FLOOR:g}")
     cuts = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
@@ -299,15 +301,16 @@ def _kernel(a: np.ndarray, rho: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k
 
 
-def _kernel_sums(a: np.ndarray, rho: np.ndarray, b: np.ndarray,
-                 b_weight: np.ndarray) -> np.ndarray:
+def _kernel_sums(a: np.ndarray, rho: np.ndarray, b: np.ndarray, b_weight: np.ndarray,
+                 reach: float) -> np.ndarray:
     """sum_j K(a_i, rho_i, b_j) b_weight_j for 1-D a and rho, and b sorted.
 
     Since (a-b)^2 + (rho-b)^2 = 2 (b - m)^2 + (a-rho)^2 / 2 with
     m = (a+rho)/2, row i's kernel is 0 outside its band
-    |b - m_i| <= sqrt(_BAND / 2). Rows go in blocks of at most _BLOCK_POINTS
-    kernel points (one row when a row is longer), each evaluated only on the
-    b-columns of its rows' bands, widened to multiples of _ALIGN.
+    |b - m_i| <= reach / 2 (see BetaRule.reach). Rows go in blocks of at
+    most _BLOCK_POINTS kernel points (one row when a row is longer), each
+    evaluated only on the b-columns of its rows' bands, widened to
+    multiples of _ALIGN.
 
     einsum sums each row on its own, and a block's extra columns add exact
     zeros to whole SIMD steps, so a row's value does not depend on the
@@ -318,11 +321,10 @@ def _kernel_sums(a: np.ndarray, rho: np.ndarray, b: np.ndarray,
         # One block holds the grid, and finding its bands would cost more
         # than the columns they drop (the optimizer's slice calls).
         return np.einsum("ij,j->i", _kernel(a[:, None], rho[:, None], b), b_weight)
-    # The margin covers the rounding of the exponent at the band's edge.
-    reach = math.sqrt(_BAND / 2.0) + 1e-6
+    half = reach / 2.0
     mid = 0.5 * (a + rho)
-    lo = np.searchsorted(b, mid - reach) // _ALIGN * _ALIGN
-    hi = np.minimum(-(-np.searchsorted(b, mid + reach, side="right") // _ALIGN) * _ALIGN, b.size)
+    lo = np.searchsorted(b, mid - half) // _ALIGN * _ALIGN
+    hi = np.minimum(-(-np.searchsorted(b, mid + half, side="right") // _ALIGN) * _ALIGN, b.size)
     out = np.empty(a.size)
     i = 0
     while i < a.size:
@@ -441,13 +443,21 @@ class BetaRule:
         self.b = b
         self.b_weight = b_w * b * radial_weight(b)
 
+    @property
+    def reach(self) -> float:
+        """|a - rho| past which a slice is an exact 0: the kernel's exponent
+        2 (b - m)^2 + (a - rho)^2 / 2 then passes _BAND for every b, as it
+        does where |b - m| passes reach / 2. Read from _BAND at call time;
+        the margin covers the exponent's rounding at the band's edge."""
+        return math.sqrt(2.0 * _BAND) + 2e-6
+
     @classmethod
     def for_prior(cls, prior: Prior, spec: QuadratureSpec) -> "BetaRule":
         return cls(prior.radial_density, 0.0, _beta_support(prior, spec)[0], spec)
 
     def __call__(self, a, rho) -> np.ndarray:
         a, rho = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(rho, dtype=float))
-        sums = _kernel_sums(a.ravel(), rho.ravel(), self.b, self.b_weight)
+        sums = _kernel_sums(a.ravel(), rho.ravel(), self.b, self.b_weight, self.reach)
         return 2.0 * sums.reshape(a.shape)
 
     def average(self, strategy: Strategy) -> float:

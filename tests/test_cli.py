@@ -108,17 +108,19 @@ class TestQuad:
 
     def test_gaussian_floor_is_input_error(self, capsys):
         # The panel budget refuses a prior too flat to integrate, down to
-        # the smallest float, whose support radius is infinite.
-        for prior in ("gaussian:1e-9", "gaussian:5e-324"):
+        # the smallest float, whose support radius is infinite. A count of
+        # 151 digits prints in %g form.
+        for prior in ("gaussian:1e-9", "gaussian:1e-300", "gaussian:5e-324"):
             code, out, err = run(capsys, "quad", "--prior", prior, "--gain", "0.5")
             assert (code, out) == (2, "")
-            assert "budget of 4635" in err
+            assert "budget of 4635" in err and len(err) < 200
         # Radial spans wider than the floor Gaussian's alpha range fail
         # before any grid is allocated (7.45 and 74.5 GiB here).
         for prior, span in [("disk:1e9", "1e+09"), ("truncgauss:1e-300,1e10", "1e+10")]:
             code, out, err = run(capsys, "quad", "--prior", prior, "--gain", "0.5")
             assert (code, out) == (2, "")
             assert err.startswith(f"error: radial span {span} needs ") and "budget of 4635" in err
+            assert len(err) < 200
 
     @pytest.mark.parametrize("text, line", [
         ("0 0\n1\n", 2),

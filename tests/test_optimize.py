@@ -16,7 +16,7 @@ from telebound import (
 )
 from telebound import optimize
 from telebound.optimize import GAIN_SEARCH_MAX, ConvergenceError, _refine_max
-from telebound.quadrature import BetaRule
+from telebound.quadrature import BetaRule, QuadratureSpec
 
 from _oracles import DISK_CURVE_IDEAL, DISK_GAIN_OPTIMA
 
@@ -125,7 +125,7 @@ class TestRefineMax:
 
 
 class TestCallBudget:
-    """One scan and one refinement of the node slices, one quadrature."""
+    """One refinement of the node slices, one quadrature."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -156,6 +156,29 @@ class TestCallBudget:
 
 
 class TestOptimizeGuessCurve:
+    @pytest.mark.parametrize("radius", [300.0, 1000.0])
+    @pytest.mark.parametrize("n_nodes", [4, 8])
+    def test_wide_disk_nodes_search_down_from_r_by_the_reach(self, monkeypatch, radius, n_nodes):
+        # Each node r is searched on [max(0, r - reach), r]. The slice at r
+        # is positive, so no searched node ends on a slice of exactly 0,
+        # which the best-gain fallback would hide.
+        searches = []
+        refine = optimize._refine_max
+
+        def spy(f, lo, hi, tol):
+            result = refine(f, lo, hi, tol)
+            searches.append((np.array(lo), np.array(hi), result[0]))
+            return result
+
+        monkeypatch.setattr(optimize, "_refine_max", spy)
+        prior = UniformDisk(radius)
+        assert optimize_guess_curve(prior, n_nodes=n_nodes).converged
+        rule = BetaRule.for_prior(prior, QuadratureSpec())
+        lo, r, rho = searches[-1]
+        assert (r == np.linspace(0.0, prior.support_radius(1e-4) + 2.5, n_nodes)[1:]).all()
+        assert (lo == np.maximum(r - rule.reach, 0.0)).all()
+        assert (rule(r, rho) > 0.0).all()
+
     def test_disk_one_beats_gain_and_respects_ideal_ceiling(self):
         report = optimize_guess_curve(UniformDisk(1.0), n_nodes=8)
         gain_best = DISK_GAIN_OPTIMA[1.0][1]
