@@ -26,10 +26,6 @@ __all__ = [
     "classical_bound_estimate",
 ]
 
-# Optima are provably at or below gain 1 for the supported priors; the extra
-# headroom exists so a runaway optimizer trips the property tests.
-GAIN_SEARCH_MAX = 1.5
-
 # Points that each refinement round scans per bracket. A round narrows a
 # bracket to its best point's two neighbours, an eighth of its width. On the
 # benchmark's optimizer calls (2-vCPU x86-64), 13 to 21 points timed alike
@@ -101,13 +97,14 @@ def _checked(report: OptimizationReport, tol: float) -> OptimizationReport:
 def optimize_gain(prior: Prior, tol: float = 1e-6) -> OptimizationReport:
     """Best gain strategy for `prior` via closed forms.
 
-    Grid refinement on [0, GAIN_SEARCH_MAX]; the final bracket width, the
-    report's convergence_gap, is at most tol.
+    Grid refinement on [0, 1]; the final bracket width, the report's
+    convergence_gap, is at most tol. No gain above 1 can win: averaged over
+    the heterodyne noise, F(g) = E[exp(-(1 - g)^2 |beta|^2 / (1 + g^2))] /
+    (1 + g^2) <= 1 / (1 + g^2), below 1/2 = F(1) for every prior.
     """
     check_positive(tol, "tol")
     objective = np.vectorize(lambda g: gain_fidelity(prior, g), otypes=[float])
-    g, value, evals, width = _refine_max(lambda xs, live: objective(xs), np.zeros(1),
-                                         np.full(1, GAIN_SEARCH_MAX), tol)
+    g, value, evals, width = _refine_max(lambda xs, live: objective(xs), np.zeros(1), np.ones(1), tol)
     return _checked(OptimizationReport(best_strategy=Gain(float(g[0])), best_value=float(value[0]),
                                        evaluations=int(evals[0]), convergence_gap=float(width[0])),
                     tol)
@@ -123,17 +120,18 @@ def optimize_guess_curve(prior: Prior, n_nodes: int = 8, tol: float = 1e-3) -> O
     r: a slice is unimodal in the guess radius, no guess beyond r beats r,
     and the quadrature band makes a slice 0 more than reach below r.
     convergence_gap is the widest final node bracket. The curve is then
-    scored once by the quadrature engine and kept unless the best gain, as
-    a curve, scores higher. Raises ConvergenceError with that report if a
-    node cannot narrow to its tolerance.
+    scored once by the quadrature engine; if it scores below the best gain,
+    the gain's own curve g * radii is returned at the gain's closed-form
+    value. Raises ConvergenceError with that report if a node cannot narrow
+    to its tolerance.
     """
-    return _search_curve(prior, optimize_gain(prior, tol=min(tol, 1e-6)), n_nodes, tol)
+    return _search_curve(prior, n_nodes, tol)[1]
 
 
-def _search_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int,
-                  tol: float) -> OptimizationReport:
-    """optimize_guess_curve's search. gain_report is the best gain for
-    `prior` at tol min(tol, 1e-6)."""
+def _search_curve(prior: Prior, n_nodes: int, tol: float):
+    """optimize_guess_curve's search: (gain_report, curve_report), where
+    gain_report is the best gain for `prior` at tol min(tol, 1e-6)."""
+    gain_report = optimize_gain(prior, tol=min(tol, 1e-6))
     check_count(n_nodes, "n_nodes", 4)
     check_positive(tol, "tol")
     support = prior.support_radius(1e-4)
@@ -160,17 +158,14 @@ def _search_curve(prior: Prior, gain_report: OptimizationReport, n_nodes: int,
 
     curve = RadialCurve(tuple(zip(radii, np.concatenate(([0.0], rho)))))
     value = rule.average(curve)
-    evals = gain_report.evaluations + int(counts.sum()) + 1
-    # The curve family holds the best gain as the curve g * radii. It is
-    # scored only if the search's curve falls below the gain, and wins a tie.
+    # The family holds the best gain as the curve g * radii, whose average is
+    # the gain's closed form; it replaces a searched curve that scores below.
     if value < gain_report.best_value:
-        start = RadialCurve(tuple(zip(radii, gain_report.best_strategy.g * radii)))
-        start_value = rule.average(start)
-        evals += 1
-        if start_value >= value:
-            curve, value = start, start_value
-    return _checked(OptimizationReport(best_strategy=curve, best_value=value, evaluations=evals,
-                                       convergence_gap=float(width.max())), tol * 1e-2)
+        curve = RadialCurve(tuple(zip(radii, gain_report.best_strategy.g * radii)))
+        value = gain_report.best_value
+    report = OptimizationReport(best_strategy=curve, best_value=value, convergence_gap=float(width.max()),
+                                evaluations=gain_report.evaluations + int(counts.sum()) + 1)
+    return gain_report, _checked(report, tol * 1e-2)
 
 
 def classical_bound_estimate(prior: Prior, n_nodes: int = 8, tol: float = 1e-3) -> BoundResult:
@@ -182,9 +177,6 @@ def classical_bound_estimate(prior: Prior, n_nodes: int = 8, tol: float = 1e-3) 
     the measurement is fixed to heterodyne detection and guesses are
     coherent states.
     """
-    gain_report = optimize_gain(prior, tol=min(tol, 1e-6))
-    # The curve search starts from the same gain report, computed once.
-    curve_report = _search_curve(prior, gain_report, n_nodes, tol)
     # On a tie max keeps the first report, the gain.
-    best = max(gain_report, curve_report, key=lambda report: report.best_value)
+    best = max(*_search_curve(prior, n_nodes, tol), key=lambda report: report.best_value)
     return BoundResult(value=best.best_value, prior=repr(prior), strategy=best.best_strategy)

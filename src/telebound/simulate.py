@@ -113,7 +113,11 @@ def _draw_prior(prior: Prior, first, second, beta, re, im):
     stream `first` and the angles (or imaginary components) from `second`,
     with the float buffers re and im as scratch."""
     if prior.radius == math.inf:
-        return _complex_normal(first, second, math.sqrt(1.0 / (2.0 * prior.lam)), beta, re)
+        std = math.sqrt(1.0 / (2.0 * prior.lam))
+        if std == math.inf:
+            raise ValueError(f"a whole-plane prior with lam = {prior.lam!r} cannot be sampled: "
+                             "its input scale sqrt(1 / (2 lam)) overflows")
+        return _complex_normal(first, second, std, beta, re)
     r = first.random(out=re)
     if prior.lam == 0.0:
         np.multiply(prior.radius, np.sqrt(r, out=r), out=r)

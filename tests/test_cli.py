@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import threading
+import warnings
 
 import pytest
 
@@ -315,6 +316,15 @@ class TestSimulate:
                            "-n", "100", "--seed", "-1")
         assert code == 2
         assert "seed" in err
+
+    @pytest.mark.parametrize("lam", ["1e-310", "5e-324"])
+    def test_overflowing_gaussian_scale_is_input_error(self, capsys, lam):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "simulate", "--prior", f"gaussian:{lam}", "--gain", "0.5",
+                                 "-n", "10")
+        assert (code, out, caught) == (2, "", [])
+        assert f"lam = {lam}" in err
 
     def test_repeat_runs_identical(self, capsys):
         _, out1, _ = run(capsys, "simulate", "--prior", "disk:1", "--gain", "0.36",

@@ -15,7 +15,7 @@ from telebound import (
     select_lambda,
 )
 from telebound import optimize
-from telebound.optimize import GAIN_SEARCH_MAX, ConvergenceError, _refine_max
+from telebound.optimize import ConvergenceError, _refine_max
 from telebound.quadrature import BetaRule, QuadratureSpec
 
 from _oracles import DISK_CURVE_IDEAL, DISK_GAIN_OPTIMA
@@ -42,7 +42,7 @@ class TestOptimizeGain:
     def test_truncated_gaussian_beats_unit_gain(self):
         report = optimize_gain(TruncatedGaussian(0.5, 2.0))
         assert report.best_value > 0.5
-        assert 0.0 <= report.best_strategy.g <= GAIN_SEARCH_MAX
+        assert 0.0 <= report.best_strategy.g <= 1.0
 
     def test_perturbing_gain_does_not_improve(self):
         from telebound import disk_gain_fidelity
@@ -153,6 +153,18 @@ class TestCallBudget:
         classical_bound_estimate(TruncatedGaussian(select_lambda(2.0, 0.01), 2.0))
         assert counts["call"] <= 12
         assert counts["average"] == 1
+
+    def test_losing_curve_is_the_gain_at_its_closed_form(self, counts):
+        # On a wide disk the searched curve scores below the best gain, so
+        # the gain's own curve g * radii is returned at the gain's value,
+        # with no second quadrature.
+        prior = UniformDisk(300.0)
+        report = optimize_guess_curve(prior, n_nodes=8)
+        assert counts["average"] == 1
+        gain = optimize_gain(prior)
+        assert report.best_value == gain.best_value
+        radii = np.linspace(0.0, prior.support_radius(1e-4) + 2.5, 8)
+        assert report.best_strategy.nodes == tuple(zip(radii, gain.best_strategy.g * radii))
 
 
 class TestOptimizeGuessCurve:

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telebound import GaussianIso, TruncatedGaussian, UniformDisk
+from telebound import Gain, GaussianIso, TruncatedGaussian, UniformDisk, average_fidelity_quad, gain_fidelity
 from telebound.quadrature import BetaRule, QuadratureSpec
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -51,3 +51,37 @@ class TestCurveBracketPremises:
         rule, r = case
         above = np.append(np.nextafter(r, np.inf), r + (0.5 * r + 1.0) * np.linspace(0.0, 1.0, 65)[1:])
         assert (rule(r, above) <= rule(r, r) * (1.0 + 8.0 * np.finfo(float).eps)).all()
+
+
+
+class TestGainBracketPremise:
+    """optimize_gain searches [0, 1]."""
+
+    @PROPERTY
+    @given(PRIORS, st.floats(1.0, 1e3, exclude_min=True))
+    def test_no_gain_above_one_beats_one(self, prior, h):
+        # Averaged over the heterodyne noise, F(h) <= 1 / (1 + h^2) < 1/2 =
+        # F(1); the closed form may exceed the bound by its rounding only.
+        value = gain_fidelity(prior, h)
+        assert value < 0.5
+        assert value * (1.0 + h * h) <= 1.0 + 2.0 * np.finfo(float).eps
+
+
+# Priors on which the quadrature's error estimate covers the closed forms.
+# Near lam = 1e3 the error reached 0.97 of the estimate, so the range stops
+# at lam = 100.
+QUAD_PRIORS = st.one_of(
+    st.floats(0.05, 20.0).map(UniformDisk),
+    st.floats(0.02, 100.0).map(GaussianIso),
+    st.builds(TruncatedGaussian, st.floats(0.02, 100.0), st.floats(0.05, 20.0)),
+)
+
+
+class TestGainRoutesAgree:
+    """Quadrature and the closed form give a gain's average fidelity."""
+
+    @settings(PROPERTY, max_examples=100)
+    @given(QUAD_PRIORS, st.floats(0.0, 1.0))
+    def test_quadrature_matches_the_closed_form_within_its_estimate(self, prior, g):
+        result = average_fidelity_quad(prior, Gain(g))
+        assert abs(result.value - gain_fidelity(prior, g)) <= result.error_estimate

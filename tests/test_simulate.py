@@ -90,6 +90,15 @@ class TestSamplePrior:
         beta0 = sample_prior(TruncatedGaussian(0.0, 1.5), _rng(7), 100_000)
         assert np.max(np.abs(beta0)) <= 1.5
 
+    @pytest.mark.parametrize("lam", [1e-310, 5e-324])
+    def test_whole_plane_scale_overflow_is_value_error(self, lam):
+        # sqrt(1 / (2 lam)) is inf below about 2.8e-309: the inputs would be
+        # inf, and their noisy outcomes inf - inf = nan.
+        with pytest.raises(ValueError, match=f"lam = {lam!r}"):
+            sample_prior(GaussianIso(lam), _rng(8), 10)
+        with pytest.raises(ValueError, match=f"lam = {lam!r}"):
+            simulate(GaussianIso(lam), Gain(0.5), 10, 0)
+
 
 class TestSimulate:
     @pytest.mark.parametrize("prior", [GaussianIso(1.0), UniformDisk(1.0), UniformDisk(3.0),
