@@ -12,7 +12,7 @@ truncated-Gaussian ensemble fidelity, which classical strategies can push
 above the whole-plane bound. At epsilon = 0.1 a purely classical channel is
 falsely certified (see the test suite), and at epsilon = 0.01 so is a
 classical gain-0.458 channel on a radius-2 disk with 1e6 records (ci_low
-0.68575 against the bound 0.68267). A tail-corrected threshold is ROADMAP
+0.68605 against the bound 0.68267). A tail-corrected threshold is ROADMAP
 item 1.
 """
 

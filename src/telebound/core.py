@@ -23,11 +23,12 @@ RadialCurve.
 
 seeded_stream(seed, i), a Philox generator on SeedSequence(seed,
 spawn_key=(i,)), is the one random stream: simulation chunk i draws stream i
-and the bootstrap draws stream 0. A simulation chunk reads each uniform
-segment of its stream through its own copy of stream i, moved to the
-segment's start: Philox makes four 64-bit draws per counter step and a
-uniform double takes one, so advance(k // 4) and then k % 4 raw draws pass
-k doubles.
+and the bootstrap draws stream 0. A simulation chunk of count rounds lays
+its stream out as count input radii from draw 0, count input angles from
+draw count and the heterodyne noise from draw 2 count, and reads each
+segment through its own copy of stream i, moved to the segment's start:
+Philox makes four 64-bit draws per counter step and a uniform double takes
+one, so advance(k // 4) and then k % 4 raw draws pass k doubles.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ locally. Values frozen into the tests were produced by these oracles.
 The CSV reference is the whole-file line reader that load_dataset's block
 reader replaced, and the simulation reference is the round that allocates
 each step's result, which the simulator's in-place chunk buffers replaced.
+Like the simulator, it scores each round with its input radius on the
+real axis and turns only the returned inputs by their angles.
 """
 
 import math
@@ -174,17 +176,17 @@ def _read_lines(fh) -> Dataset:
     return Dataset(np.array(re), np.array(im), np.array(fid))
 
 
-def _prior_draw(prior, rng, size):
-    if prior.radius == math.inf:
-        s = math.sqrt(1.0 / (2.0 * prior.lam))
-        return rng.standard_normal(size) * s + 1j * rng.standard_normal(size) * s
+def _radius_draw(prior, rng, size):
     u = rng.random(size)
     if prior.lam == 0.0:
-        r = prior.radius * np.sqrt(u)
-    else:
-        r = np.sqrt(-np.log1p(-u * prior.mass) / prior.lam)
+        return prior.radius * np.sqrt(u)
+    return np.sqrt(-np.log1p(-u * prior.mass)) / math.sqrt(prior.lam)
+
+
+def _prior_draw(prior, rng, size):
+    r = _radius_draw(prior, rng, size)
     theta = 2.0 * np.pi * rng.random(size)
-    return r * np.exp(1j * theta)
+    return r, r * np.exp(1j * theta)
 
 
 def _guess(strategy, alpha):
@@ -201,13 +203,15 @@ def _guess(strategy, alpha):
 
 def round_allocating(prior, strategy, rng, count):
     """One chunk of measure-and-prepare rounds, each step allocating its
-    result: prior draw (u, theta), heterodyne noise (re, im), guess, and
-    exp(-|guess - beta|^2). Returns beta and the fidelities."""
-    beta = _prior_draw(prior, rng, count)
+    result: prior draw (radius u, angle theta), heterodyne noise (re, im),
+    guess for the outcome of the input radius r on the real axis, and
+    exp(-|guess - r|^2). Returns the turned inputs r exp(i theta) and the
+    fidelities."""
+    r, beta = _prior_draw(prior, rng, count)
     noise = rng.standard_normal(count) * NOISE_STD + 1j * rng.standard_normal(count) * NOISE_STD
-    guess = _guess(strategy, beta + noise)
+    guess = _guess(strategy, r + noise)
     with np.errstate(over="ignore"):
-        return beta, np.exp(-np.abs(np.subtract(guess, beta)) ** 2)
+        return beta, np.exp(-np.abs(np.subtract(guess, r)) ** 2)
 
 
 def _chunks(n, seed):
@@ -235,7 +239,7 @@ def dataset_allocating(prior, n, model, seed):
     parts = []
     for rng, count in _chunks(n, seed):
         if isinstance(model, Constant):
-            parts.append((_prior_draw(prior, rng, count), np.full(count, model.value)))
+            parts.append((_prior_draw(prior, rng, count)[1], np.full(count, model.value)))
         else:
             parts.append(round_allocating(prior, model, rng, count))
     return np.concatenate([b for b, _ in parts]), np.concatenate([f for _, f in parts])

@@ -6,11 +6,15 @@ examples and no deadline, so every run draws the same inputs and the suite
 stays reproducible.
 """
 
+import cmath
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telebound import Gain, GaussianIso, TruncatedGaussian, UniformDisk, average_fidelity_quad, gain_fidelity
+from telebound import (Gain, GaussianIso, RadialCurve, TruncatedGaussian, UniformDisk,
+                       apply_strategy, average_fidelity_quad, fidelity_kernel, gain_fidelity,
+                       simulate)
 from telebound.quadrature import BetaRule, QuadratureSpec
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -85,3 +89,58 @@ class TestGainRoutesAgree:
     def test_quadrature_matches_the_closed_form_within_its_estimate(self, prior, g):
         result = average_fidelity_quad(prior, Gain(g))
         assert abs(result.value - gain_fidelity(prior, g)) <= result.error_estimate
+
+
+@st.composite
+def radial_curves(draw, reachable=False):
+    """RadialCurves with 2 to 8 nodes at random non-negative radii and guess
+    radii: kinks at every node, rising and falling segments. With
+    reachable, each node's guess radius is at most 2 r + 1 at its radius r,
+    and the last node's at most 2 r, so the guess modulus stays below
+    2 |alpha| + 1 on every segment and beyond the last node."""
+    steps = draw(st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=7))
+    radii = np.concatenate(([0.0], np.cumsum(steps)))
+    if not reachable:
+        guesses = draw(st.lists(st.floats(0.0, 10.0), min_size=len(radii), max_size=len(radii)))
+    else:
+        shares = draw(st.lists(st.floats(0.0, 1.0), min_size=len(radii), max_size=len(radii)))
+        guesses = shares * np.append(2.0 * radii[:-1] + 1.0, 2.0 * radii[-1])
+    return RadialCurve(tuple(zip(radii, guesses)))
+
+
+STRATEGIES = st.one_of(st.floats(0.0, 2.0).map(Gain), radial_curves())
+AMPLITUDES = st.builds(complex, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+
+
+class TestRotationPremise:
+    """simulate scores each round with its input on the positive real axis."""
+
+    @PROPERTY
+    @given(STRATEGIES, AMPLITUDES, AMPLITUDES, st.floats(0.0, 2.0 * np.pi))
+    def test_turning_input_and_noise_leaves_the_score(self, strategy, beta, w, t):
+        # Every strategy keeps the outcome's direction and sets its modulus
+        # from |alpha|, so F(e^{it} beta, e^{it} w) = F(beta, w).
+        turn = cmath.exp(1j * t)
+        plain = fidelity_kernel(apply_strategy(strategy, beta + w), beta)
+        turned = fidelity_kernel(apply_strategy(strategy, turn * (beta + w)), turn * beta)
+        assert abs(turned - plain) <= 1e-12
+
+
+# Strategies whose guess modulus stays below 2 |alpha| + 1: the gains up to
+# 2 and every curve under that line. A guess far above its input scores
+# almost only on rare rounds, and there 2^16 rounds understate the error:
+# RadialCurve(((0, 0), (2^-7, 1))) on UniformDisk(4) has F = 3.9e-6 by
+# quadrature, and seed 0 estimates 2.0e-10 with a standard error of 2.0e-10.
+REACHABLE = st.one_of(st.floats(0.0, 2.0).map(Gain), radial_curves(reachable=True))
+
+
+class TestSimulateAgreesWithQuadrature:
+    """A seeded Monte Carlo estimate and the quadrature are two routes to
+    one average fidelity."""
+
+    @settings(PROPERTY, max_examples=100)
+    @given(QUAD_PRIORS, REACHABLE, st.integers(0, 2**32))
+    def test_estimate_lands_within_five_standard_errors(self, prior, strategy, seed):
+        est = simulate(prior, strategy, 1 << 16, seed)
+        quad = average_fidelity_quad(prior, strategy)
+        assert abs(est.mean - quad.value) <= 5.0 * est.std_error + quad.error_estimate

@@ -99,6 +99,15 @@ class TestSamplePrior:
         with pytest.raises(ValueError, match=f"lam = {lam!r}"):
             simulate(GaussianIso(lam), Gain(0.5), 10, 0)
 
+    @pytest.mark.parametrize("lam", [5.6e-309, 1e-308, 1.9e-307])
+    def test_admitted_whole_plane_radii_stay_finite(self, lam):
+        # -log1p(-u) / lam passes the largest float here for u above about
+        # 1 - exp(-1.8e308 lam); the roots taken apart stay finite. The
+        # pytest configuration turns any warning into an error.
+        assert np.isfinite(sample_prior(GaussianIso(lam), _rng(9), 4096)).all()
+        est = simulate(GaussianIso(lam), Gain(0.5), 1000, seed=1)
+        assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+
 
 class TestSimulate:
     @pytest.mark.parametrize("prior", [GaussianIso(1.0), UniformDisk(1.0), UniformDisk(3.0),
