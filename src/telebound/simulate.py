@@ -17,9 +17,11 @@ r e^{it} with noise e^{it} w scores exactly what a round at input r with
 noise w scores. simulate therefore draws only each round's input radius r,
 through the prior's inverse radial CDF, and scores the round with its input
 on the positive real axis: alpha = (r + w_re) + i w_im, then
-exp(-|guess(alpha) - r|^2). generate_dataset runs the same round and turns
-each record's input by an angle drawn independently of the noise, which
-gives the records the joint law of (beta, w).
+exp(-|guess(alpha) - r|^2). generate_dataset draws every record's input,
+radius and angle, in one loop whatever its model, and scores a strategy's
+records with the same round, which reads the same radii again; the angle
+is independent of the noise, which gives the records the joint law of
+(beta, w).
 
 Determinism
 -----------
@@ -27,19 +29,19 @@ Samples are drawn in fixed-size chunks. Chunk i of count rounds draws from
 core.seeded_stream(seed, i), a Philox generator seeded with
 SeedSequence(seed, spawn_key=(i,)), in the order input radius (count
 uniforms from draw 0), input angle (count uniforms from draw count), then
-the real and imaginary heterodyne noise (from draw 2 count). simulate never
-reads the angle segment. A chunk is scored in blocks of BLOCK_SIZE rounds,
-and each segment of its stream is read through its own cursor: a copy of
-stream i moved to the segment's start, past one 64-bit draw per uniform
-double. A normal draw takes a varying number of 64-bit draws, so a segment
-that follows normals cannot be reached that way: the real noise is drawn
-whole into the chunk's fidelity buffer, which each block then overwrites
-with its fidelities, and the imaginary noise, which follows it, is drawn
-one block at a time. Each worker's buffers, one float chunk, one complex
-block and one block set, are allocated by the calling thread and serve
-every chunk the worker takes; generate_dataset's chunks write their inputs
-and fidelities straight into their own slices of the output, which serve
-as the float chunk and the complex block until they are written.
+the real and imaginary heterodyne noise (from draw 2 count). Scoring never
+reads the angle segment. A chunk is drawn and scored in blocks of
+BLOCK_SIZE rounds, and each segment of its stream is read through its own
+cursor: a copy of stream i moved to the segment's start, past one 64-bit
+draw per uniform double. A normal draw takes a varying number of 64-bit
+draws, so a segment that follows normals cannot be reached that way: the
+real noise is drawn whole into the chunk's fidelity buffer, which each
+block then overwrites with its fidelities, and the imaginary noise, which
+follows it, is drawn one block at a time. Each worker's buffers, one block set (a complex and
+four float blocks) and, for simulate, one float chunk, are allocated by the
+calling thread and serve every chunk the worker takes; generate_dataset's
+chunks write their inputs and fidelities straight into their own slices of
+the output, the fidelity slice serving as the float chunk.
 Results are kept in chunk order and simulate sums them in that order, so a
 run is bit-identical for fixed (seed, n, prior, strategy) regardless of the
 worker count, and bit-identical to drawing and scoring each chunk's steps
@@ -70,15 +72,15 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 16
-# Rounds scored at a time. A block set (one complex and two float buffers)
-# of 16K rounds takes 512 KiB, and with simulate's complex scratch block
-# 768 KiB, which fits a core's L2 cache. Each block pays the fixed cost of
-# its numpy calls, 12 for a gain and more for a curve's guess factor, which
-# workers pay one at a time under the GIL: with two workers, blocks of 8K
-# slowed simulate by 5-8% when a block made 18 calls.
+# Rounds scored at a time. A block set (one complex and four float buffers)
+# of 16K rounds takes 768 KiB, which fits a core's L2 cache. Each block
+# pays the fixed cost of its numpy calls, 12 for a gain and more for a
+# curve's guess factor, which workers pay one at a time under the GIL: with
+# two workers, blocks of 8K slowed simulate by 5-8% when a block made 18
+# calls.
 BLOCK_SIZE = 1 << 14
 # The (length, dtype) of _round's block buffers, as _map_chunks takes them.
-_BLOCK_SET = ((BLOCK_SIZE, complex), (BLOCK_SIZE, float), (BLOCK_SIZE, float))
+_BLOCK_SET = ((BLOCK_SIZE, complex), *[(BLOCK_SIZE, float)] * 4)
 
 NOISE_STD = math.sqrt(0.5)  # per real component
 
@@ -159,37 +161,31 @@ def _blocks(count: int):
     return (slice(s, min(s + BLOCK_SIZE, count)) for s in range(0, count, BLOCK_SIZE))
 
 
-def _round(prior: Prior, strategy: Strategy, seed: int, index: int, beta, fid, block,
-           turn: bool = False):
+def _round(prior: Prior, strategy: Strategy, seed: int, index: int, fid, block):
     """Chunk `index` of seed's measure-and-prepare rounds, one per element
     of the float buffer fid, as described in simulate: fill fid with their
     fidelities, each round scored with its input radius on the positive
-    real axis. beta is a complex buffer, as long as fid or BLOCK_SIZE, that
-    each block may overwrite; with turn it is as long as fid and ends up
-    holding the inputs, each radius turned by its angle. block holds a
-    complex and two float buffers of up to BLOCK_SIZE elements."""
+    real axis. block holds a complex and four float buffers of up to
+    BLOCK_SIZE elements."""
     count = len(fid)
-    alpha, radii, im = block
+    alpha, radii, im, *scratch = block
     radius, noise = seeded_stream(seed, index), _cursor(seed, index, 2 * count)
-    angle = _cursor(seed, index, count) if turn else None
     # The real noise, drawn whole; each block overwrites its part with fidelities.
     np.multiply(noise.standard_normal(out=fid), NOISE_STD, out=fid)
     for rows in _blocks(count):
         m = rows.stop - rows.start
-        a, f, b = alpha[:m], fid[rows], beta[rows] if turn else beta[:m]
+        a, f = alpha[:m], fid[rows]
         r = _radii(prior, radius, radii[:m])
         np.add(f, r, out=a.real)
         np.multiply(noise.standard_normal(out=im[:m]), NOISE_STD, out=a.imag)
         # A guess far from its input overflows, or its |guess - r|^2 does;
-        # exp(-inf) = 0 is exact. The noise buffers f and im are spent, and
-        # b is not yet written, so the guess factor may use them as scratch.
+        # exp(-inf) = 0 is exact. The noise buffers f and im are spent, so
+        # the guess factor may use them as scratch.
         with np.errstate(over="ignore"):
-            factor = strategy.guess_factor(a, f, im[:m], *b.view(float).reshape(2, m))
+            factor = strategy.guess_factor(a, f, im[:m], *(b[:m] for b in scratch))
             np.multiply(a, factor, out=a)
             np.subtract(a.real, r, out=a.real)
             overlap(a, out=f)
-        if turn:
-            _turn(r, angle, b, im[:m])
 
 
 def _map_chunks(fn, n: int, workers: int, buffers):
@@ -231,14 +227,13 @@ def simulate(prior: Prior, strategy: Strategy, n: int, seed: int, workers: int =
     check_count(n, "n", 1)
 
     def run_chunk(index: int, buffers):
-        f, beta, *block = buffers
-        _round(prior, strategy, seed, index, beta, f, block)
+        f, *block = buffers
+        _round(prior, strategy, seed, index, f, block)
         return float(np.sum(f)), float(np.sum(np.square(f, out=f)))
 
     total = 0.0
     total_sq = 0.0
-    for s, s2 in _map_chunks(run_chunk, n, workers,
-                             ((CHUNK_SIZE, float), (BLOCK_SIZE, complex), *_BLOCK_SET)):
+    for s, s2 in _map_chunks(run_chunk, n, workers, ((CHUNK_SIZE, float), *_BLOCK_SET)):
         total += s
         total_sq += s2
     mean = total / n
@@ -279,14 +274,14 @@ def generate_dataset(radius: float, n: int, model: Constant | Strategy, seed: in
         # Chunks write disjoint slices, so workers share the arrays safely.
         count = min(CHUNK_SIZE, n - index * CHUNK_SIZE)
         rows = slice(index * CHUNK_SIZE, index * CHUNK_SIZE + count)
+        radius, angle = seeded_stream(seed, index), _cursor(seed, index, count)
+        for part in _blocks(count):
+            m = part.stop - part.start
+            _turn(_radii(prior, radius, block[1][:m]), angle, beta[rows][part], block[2][:m])
         if isinstance(model, Constant):
-            radius, angle = seeded_stream(seed, index), _cursor(seed, index, count)
-            for part in _blocks(count):
-                m = part.stop - part.start
-                _turn(_radii(prior, radius, block[1][:m]), angle, beta[rows][part], block[2][:m])
             fid[rows] = model.value
         else:
-            _round(prior, model, seed, index, beta[rows], fid[rows], block, turn=True)
+            _round(prior, model, seed, index, fid[rows], block)
 
     _map_chunks(run_chunk, n, workers, _BLOCK_SET)
     return Dataset(beta.real, beta.imag, fid)
