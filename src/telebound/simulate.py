@@ -16,12 +16,16 @@ Every strategy keeps the outcome's direction and sets its modulus from
 r e^{it} with noise e^{it} w scores exactly what a round at input r with
 noise w scores. simulate therefore draws only each round's input radius r,
 through the prior's inverse radial CDF, and scores the round with its input
-on the positive real axis: alpha = (r + w_re) + i w_im, then
-exp(-|guess(alpha) - r|^2). generate_dataset draws every record's input,
-radius and angle, in one loop whatever its model, and scores a strategy's
-records with the same round, which reads the same radii again; the angle
-is independent of the noise, which gives the records the joint law of
-(beta, w).
+on the positive real axis: alpha = (r + w_re) + i w_im, then exp(-|d|^2)
+for d = guess(alpha) - r = c alpha - r, c the strategy's guess factor. d is
+formed as (c - 1)(r + w_re) + w_re + i c w_im: once r passes about
+1e16 |w_re|, r + w_re rounds to r and c alpha - r would lose w_re, while
+here that rounding is scaled by c - 1 and w_re is kept whole. w_re is
+finite, so a guess that overflows makes d infinite, never inf - inf.
+generate_dataset draws every record's input, radius and angle, in one loop
+whatever its model, and scores a strategy's records with the same round,
+which reads the same radii again; the angle is independent of the noise,
+which gives the records the joint law of (beta, w).
 
 Determinism
 -----------
@@ -74,7 +78,7 @@ __all__ = [
 CHUNK_SIZE = 1 << 16
 # Rounds scored at a time. A block set (one complex and four float buffers)
 # of 16K rounds takes 768 KiB, which fits a core's L2 cache. Each block
-# pays the fixed cost of its numpy calls, 12 for a gain and more for a
+# pays the fixed cost of its numpy calls, 13 for a gain and more for a
 # curve's guess factor, which workers pay one at a time under the GIL: with
 # two workers, blocks of 8K slowed simulate by 5-8% when a block made 18
 # calls.
@@ -123,9 +127,6 @@ def _radii(prior: Prior, stream, out):
     of `stream` each, through the inverse radial CDF: R sqrt(u) at lam = 0,
     else sqrt(-log1p(-u mass)) / sqrt(lam), with mass = 1.0 for a
     whole-plane prior. Taking the roots apart keeps every radius finite."""
-    if prior.radius == math.inf and math.sqrt(1.0 / (2.0 * prior.lam)) == math.inf:
-        raise ValueError(f"a whole-plane prior with lam = {prior.lam!r} cannot be sampled: "
-                         "its input scale sqrt(1 / (2 lam)) overflows")
     r = stream.random(out=out)
     if prior.lam == 0.0:
         return np.multiply(prior.radius, np.sqrt(r, out=r), out=r)
@@ -165,26 +166,29 @@ def _round(prior: Prior, strategy: Strategy, seed: int, index: int, fid, block):
     """Chunk `index` of seed's measure-and-prepare rounds, one per element
     of the float buffer fid, as described in simulate: fill fid with their
     fidelities, each round scored with its input radius on the positive
-    real axis. block holds a complex and four float buffers of up to
-    BLOCK_SIZE elements."""
+    real axis through the difference d of the module docstring. block
+    holds a complex and four float buffers of up to BLOCK_SIZE elements."""
     count = len(fid)
-    alpha, radii, im, *scratch = block
+    alpha, *floats = block
     radius, noise = seeded_stream(seed, index), _cursor(seed, index, 2 * count)
     # The real noise, drawn whole; each block overwrites its part with fidelities.
     np.multiply(noise.standard_normal(out=fid), NOISE_STD, out=fid)
     for rows in _blocks(count):
         m = rows.stop - rows.start
-        a, f = alpha[:m], fid[rows]
-        r = _radii(prior, radius, radii[:m])
-        np.add(f, r, out=a.real)
-        np.multiply(noise.standard_normal(out=im[:m]), NOISE_STD, out=a.imag)
+        a, f, (r, im, *scratch) = alpha[:m], fid[rows], (b[:m] for b in floats)
+        np.add(f, _radii(prior, radius, r), out=a.real)
+        np.multiply(noise.standard_normal(out=im), NOISE_STD, out=a.imag)
         # A guess far from its input overflows, or its |guess - r|^2 does;
-        # exp(-inf) = 0 is exact. The noise buffers f and im are spent, so
-        # the guess factor may use them as scratch.
+        # exp(-inf) = 0 is exact. The radii and the imaginary noise, now in
+        # a, are spent, so the guess factor may use their buffers.
         with np.errstate(over="ignore"):
-            factor = strategy.guess_factor(a, f, im[:m], *(b[:m] for b in scratch))
-            np.multiply(a, factor, out=a)
-            np.subtract(a.real, r, out=a.real)
+            factor = strategy.guess_factor(a, r, im, *scratch)
+            # d = (c - 1)(r + w_re) + w_re + i c w_im. An array factor c
+            # is r's buffer, so c - 1 is taken in place.
+            np.multiply(a.imag, factor, out=a.imag)
+            factor -= 1.0
+            np.multiply(a.real, factor, out=a.real)
+            np.add(a.real, f, out=a.real)
             overlap(a, out=f)
 
 
@@ -221,8 +225,10 @@ def simulate(prior: Prior, strategy: Strategy, n: int, seed: int, workers: int =
 
     Per sample: draw the input radius r from the prior, draw the heterodyne
     outcome alpha = r + w, re-prepare the strategy's guess and score
-    exp(-|guess - r|^2). By rotation symmetry that is the score of the
-    round at input r e^{it} for every angle t (see the module docstring).
+    exp(-|guess - r|^2), the difference formed so that no radius, however
+    large, rounds the noise away. By rotation symmetry that is the score of
+    the round at input r e^{it} for every angle t (see the module
+    docstring).
     """
     check_count(n, "n", 1)
 

@@ -189,29 +189,36 @@ def _prior_draw(prior, rng, size):
     return r, r * np.exp(1j * theta)
 
 
-def _guess(strategy, alpha):
+def _factor(strategy, alpha):
     if isinstance(strategy, Gain):
-        return strategy.g * alpha
+        return strategy.g
     r = np.abs(alpha)
     rs = np.array([p[0] for p in strategy.nodes])
     rhos = np.array([p[1] for p in strategy.nodes])
     last_r, last_rho = strategy.nodes[-1]
     rho = np.where(r > last_r, (last_rho / last_r) * r, np.interp(r, rs, rhos))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0) * alpha
+        return np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
 
 
 def round_allocating(prior, strategy, rng, count):
     """One chunk of measure-and-prepare rounds, each step allocating its
     result: prior draw (radius u, angle theta), heterodyne noise (re, im),
-    guess for the outcome of the input radius r on the real axis, and
-    exp(-|guess - r|^2). Returns the turned inputs r exp(i theta) and the
+    guess factor c for the outcome alpha of the input radius r on the real
+    axis, and exp(-|d|^2) for the difference d = guess - r, written as
+    (c - 1)(r + w_re) + w_re + i c w_im so that w_re survives r + w_re
+    rounding to r. Returns the turned inputs r exp(i theta) and the
     fidelities."""
     r, beta = _prior_draw(prior, rng, count)
-    noise = rng.standard_normal(count) * NOISE_STD + 1j * rng.standard_normal(count) * NOISE_STD
-    guess = _guess(strategy, r + noise)
+    w_re = rng.standard_normal(count) * NOISE_STD
+    w_im = rng.standard_normal(count) * NOISE_STD
+    alpha = (r + w_re) + 1j * w_im
+    c = _factor(strategy, alpha)
+    d = np.empty(count, complex)
     with np.errstate(over="ignore"):
-        return beta, np.exp(-np.abs(np.subtract(guess, r)) ** 2)
+        d.real = (c - 1.0) * alpha.real + w_re
+        d.imag = c * w_im
+        return beta, np.exp(-np.abs(d) ** 2)
 
 
 def _chunks(n, seed):

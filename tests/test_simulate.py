@@ -91,13 +91,13 @@ class TestSamplePrior:
         assert np.max(np.abs(beta0)) <= 1.5
 
     @pytest.mark.parametrize("lam", [1e-310, 5e-324])
-    def test_whole_plane_scale_overflow_is_value_error(self, lam):
-        # sqrt(1 / (2 lam)) is inf below about 2.8e-309: the inputs would be
-        # inf, and their noisy outcomes inf - inf = nan.
-        with pytest.raises(ValueError, match=f"lam = {lam!r}"):
-            sample_prior(GaussianIso(lam), _rng(8), 10)
-        with pytest.raises(ValueError, match=f"lam = {lam!r}"):
-            simulate(GaussianIso(lam), Gain(0.5), 10, 0)
+    def test_whole_plane_scale_overflow_is_sampled(self, lam):
+        # sqrt(1 / (2 lam)) is inf below about 2.8e-309, but no draw uses
+        # it: sqrt(-log1p(-u)) / sqrt(lam) stays below about 2.7e162. At
+        # unit gain every prior scores 1/2.
+        assert np.isfinite(sample_prior(GaussianIso(lam), _rng(8), 4096)).all()
+        est = simulate(GaussianIso(lam), Gain(1.0), 200_000, seed=8)
+        assert est.mean == pytest.approx(0.5, abs=5 * est.std_error)
 
     @pytest.mark.parametrize("lam", [5.6e-309, 1e-308, 1.9e-307])
     def test_admitted_whole_plane_radii_stay_finite(self, lam):
@@ -116,6 +116,14 @@ class TestSimulate:
         est = simulate(prior, Gain(1.0), N_BIG, seed=11)
         assert est.mean == pytest.approx(0.5, abs=3 * est.std_error)
         assert est.std_error == pytest.approx(math.sqrt(1.0 / 12.0 / N_BIG), rel=0.02)
+
+    @pytest.mark.parametrize("prior", [GaussianIso(1e-40), UniformDisk(1e20)],
+                             ids=["plane", "disk"])
+    def test_unit_gain_floor_at_large_radii(self, prior):
+        # Far past 1e16, r + w_re rounds to r; a score that then subtracted
+        # r lost the real noise and averaged 1/sqrt(2).
+        est = simulate(prior, Gain(1.0), 200_000, seed=11)
+        assert est.mean == pytest.approx(0.5, abs=5 * est.std_error)
 
     def test_gaussian_closed_form(self):
         est = simulate(GaussianIso(1.0), Gain(0.5), N_BIG, seed=12)
@@ -190,6 +198,11 @@ class TestGenerateDataset:
         stderr = np.std(ds.fidelity) / math.sqrt(len(ds))
         assert np.mean(ds.fidelity) == pytest.approx(0.5, abs=3 * stderr)
 
+    def test_simulated_unit_gain_mean_at_a_large_radius(self):
+        ds = generate_dataset(1e20, 200_000, Gain(1.0), seed=3)
+        stderr = np.std(ds.fidelity) / math.sqrt(len(ds))
+        assert np.mean(ds.fidelity) == pytest.approx(0.5, abs=5 * stderr)
+
     def test_simulated_gain_matches_disk_closed_form(self):
         g = 0.686578
         ds = generate_dataset(2.0, 400_000, Gain(g), seed=4)
@@ -250,13 +263,15 @@ class TestGenerateDataset:
     def test_peak_memory_is_one_copy_of_the_output(self):
         # Each chunk writes its slice of the output; holding every chunk's
         # result and then their concatenation took about 2x the output.
-        tracemalloc.start()
-        try:
-            ds = generate_dataset(2, 16 * CHUNK_SIZE, Gain(0.5), 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 3 * ds.beta_re.nbytes
+        # Every model draws its inputs through the same loop.
+        for model in (Constant(0.58), Gain(0.5), CURVE):
+            tracemalloc.start()
+            try:
+                ds = generate_dataset(2, 16 * CHUNK_SIZE, model, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * 3 * ds.beta_re.nbytes, model
 
     def test_validation(self):
         with pytest.raises(ValueError):
