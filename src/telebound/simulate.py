@@ -41,11 +41,12 @@ draw per uniform double. A normal draw takes a varying number of 64-bit
 draws, so a segment that follows normals cannot be reached that way: the
 real noise is drawn whole into the chunk's fidelity buffer, which each
 block then overwrites with its fidelities, and the imaginary noise, which
-follows it, is drawn one block at a time. Each worker's buffers, one block set (a complex and
-four float blocks) and, for simulate, one float chunk, are allocated by the
-calling thread and serve every chunk the worker takes; generate_dataset's
-chunks write their inputs and fidelities straight into their own slices of
-the output, the fidelity slice serving as the float chunk.
+follows it, is drawn one block at a time. Each worker's buffers, one block
+set (a complex and four float blocks) and, for simulate, one float chunk,
+are allocated by the calling thread and serve every chunk the worker takes;
+generate_dataset's chunks write their inputs and fidelities straight into
+their own slices of the output, the fidelity slice serving as the float
+chunk.
 Results are kept in chunk order and simulate sums them in that order, so a
 run is bit-identical for fixed (seed, n, prior, strategy) regardless of the
 worker count, and bit-identical to drawing and scoring each chunk's steps

@@ -110,8 +110,9 @@ class TestSamplePrior:
 
 
 class TestSimulate:
-    # Inputs far past 1e16: r + w_re rounds to r there, and a score that
-    # subtracted r from the guess lost the real noise and averaged 1/sqrt(2).
+    # The last two priors draw inputs far past 1e16, where r + w_re rounds
+    # to r: a score that subtracted r from the guess lost the real noise
+    # there and averaged 1/sqrt(2).
     @pytest.mark.parametrize("prior", [GaussianIso(1.0), UniformDisk(1.0), UniformDisk(3.0),
                                        TruncatedGaussian(0.5, 2.0), GaussianIso(1e-40),
                                        UniformDisk(1e20)])
@@ -338,8 +339,8 @@ class TestInPlaceRounds:
 
     @pytest.mark.parametrize("strategy", [Gain(0.5), CURVE], ids=["gain", "curve"])
     def test_peak_memory_is_one_buffer_set_per_worker(self, strategy):
-        # Each worker's buffers, one float chunk and one block set (two
-        # complex and two float arrays of BLOCK_SIZE), serve all of its
+        # Each worker's buffers, one float chunk and one block set (a
+        # complex and four float arrays of BLOCK_SIZE), serve all of its
         # chunks, so the peak does not grow with the chunk count. One more
         # block set covers the ufuncs' cast buffers and a curve's
         # interpolation per block.
