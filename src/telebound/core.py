@@ -21,14 +21,12 @@ factor that takes outcomes to their guesses and kinks the radii where the
 guess modulus bends, so no other module asks whether it holds a Gain or a
 RadialCurve.
 
-seeded_stream(seed, i), a Philox generator on SeedSequence(seed,
-spawn_key=(i,)), is the one random stream: simulation chunk i draws stream i
-and the bootstrap draws stream 0. A simulation chunk of count rounds lays
-its stream out as count input radii from draw 0, count input angles from
-draw count and the heterodyne noise from draw 2 count, and reads each
-segment through its own copy of stream i, moved to the segment's start:
-Philox makes four 64-bit draws per counter step and a uniform double takes
-one, so advance(k // 4) and then k % 4 raw draws pass k doubles.
+seeded_stream(seed, *key), a Philox generator on SeedSequence(seed,
+spawn_key=key), builds every random stream: the bootstrap draws stream
+(0,), and simulation chunk i draws its inputs from (i,), its real
+heterodyne noise from (i, 1) and its imaginary noise from (i, 2). Each
+segment has a stream of its own, read front to back, so no stream is ever
+moved past draws it has not made.
 """
 
 from __future__ import annotations
@@ -72,11 +70,11 @@ def check_count(value: int, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def seeded_stream(seed: int, index: int) -> np.random.Generator:
-    """Random stream `index` of `seed`: a Philox generator on
-    SeedSequence(seed, spawn_key=(index,))."""
+def seeded_stream(seed: int, *key: int) -> np.random.Generator:
+    """Random stream `key` of `seed`: a Philox generator on
+    SeedSequence(seed, spawn_key=key)."""
     check_count(seed, "seed", 0)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _require_finite(value, name: str):

@@ -23,30 +23,24 @@ formed as (c - 1)(r + w_re) + w_re + i c w_im: once r passes about
 here that rounding is scaled by c - 1 and w_re is kept whole. w_re is
 finite, so a guess that overflows makes d infinite, never inf - inf.
 generate_dataset draws every record's input, radius and angle, in one loop
-whatever its model, and scores a strategy's records with the same round,
-which reads the same radii again; the angle is independent of the noise,
-which gives the records the joint law of (beta, w).
+whatever its model, and hands a strategy's round the radii it drew; the
+angle is independent of the noise, which gives the records the joint law
+of (beta, w).
 
 Determinism
 -----------
-Samples are drawn in fixed-size chunks. Chunk i of count rounds draws from
-core.seeded_stream(seed, i), a Philox generator seeded with
-SeedSequence(seed, spawn_key=(i,)), in the order input radius (count
-uniforms from draw 0), input angle (count uniforms from draw count), then
-the real and imaginary heterodyne noise (from draw 2 count). Scoring never
-reads the angle segment. A chunk is drawn and scored in blocks of
-BLOCK_SIZE rounds, and each segment of its stream is read through its own
-cursor: a copy of stream i moved to the segment's start, past one 64-bit
-draw per uniform double. A normal draw takes a varying number of 64-bit
-draws, so a segment that follows normals cannot be reached that way: the
-real noise is drawn whole into the chunk's fidelity buffer, which each
-block then overwrites with its fidelities, and the imaginary noise, which
-follows it, is drawn one block at a time. Each worker's buffers, one block
-set (a complex and four float blocks) and, for simulate, one float chunk,
-are allocated by the calling thread and serve every chunk the worker takes;
-generate_dataset's chunks write their inputs and fidelities straight into
-their own slices of the output, the fidelity slice serving as the float
-chunk.
+Samples are drawn in fixed-size chunks. Chunk i of count rounds reads
+three streams, each front to back: core.seeded_stream(seed, i) gives count
+input radii, then count input angles, and seeded_stream(seed, i, 1) and
+seeded_stream(seed, i, 2) give the real and the imaginary heterodyne
+noise. Scoring never reads the angles. The radii are drawn whole into the
+chunk's float buffer, and the chunk is then scored in blocks of BLOCK_SIZE
+rounds, each overwriting its radii with their fidelities. Each worker's
+buffers, one block set (a complex and four float blocks) and, for
+simulate, one float chunk, are allocated by the calling thread and serve
+every chunk the worker takes; generate_dataset's chunks write their inputs
+and fidelities straight into their own slices of the output, the fidelity
+slice serving as the float chunk.
 Results are kept in chunk order and simulate sums them in that order, so a
 run is bit-identical for fixed (seed, n, prior, strategy) regardless of the
 worker count, and bit-identical to drawing and scoring each chunk's steps
@@ -148,48 +142,37 @@ def _turn(radii, stream, beta, scratch):
     return np.multiply(radii, beta, out=beta)
 
 
-def _cursor(seed: int, index: int, offset: int) -> np.random.Generator:
-    """Stream `index` of seed, moved past its first `offset` 64-bit draws,
-    as many as that many uniform doubles take: Philox makes four per
-    counter step."""
-    rng = seeded_stream(seed, index)
-    rng.bit_generator.advance(offset // 4)
-    rng.bit_generator.random_raw(offset % 4)
-    return rng
-
-
 def _blocks(count: int):
     """The slices of a chunk of `count` rounds, BLOCK_SIZE at a time."""
     return (slice(s, min(s + BLOCK_SIZE, count)) for s in range(0, count, BLOCK_SIZE))
 
 
-def _round(prior: Prior, strategy: Strategy, seed: int, index: int, fid, block):
-    """Chunk `index` of seed's measure-and-prepare rounds, one per element
-    of the float buffer fid, as described in simulate: fill fid with their
-    fidelities, each round scored with its input radius on the positive
-    real axis through the difference d of the module docstring. block
-    holds a complex and four float buffers of up to BLOCK_SIZE elements."""
-    count = len(fid)
+def _round(strategy: Strategy, seed: int, index: int, fid, block):
+    """Chunk `index` of seed's measure-and-prepare rounds, one per input
+    radius in the float buffer fid, as described in simulate: overwrite fid
+    with their fidelities, each round scored with its input radius on the
+    positive real axis through the difference d of the module docstring.
+    block holds a complex and four float buffers of up to BLOCK_SIZE
+    elements."""
     alpha, *floats = block
-    radius, noise = seeded_stream(seed, index), _cursor(seed, index, 2 * count)
-    # The real noise, drawn whole; each block overwrites its part with fidelities.
-    np.multiply(noise.standard_normal(out=fid), NOISE_STD, out=fid)
-    for rows in _blocks(count):
+    real, imag = seeded_stream(seed, index, 1), seeded_stream(seed, index, 2)
+    for rows in _blocks(len(fid)):
         m = rows.stop - rows.start
-        a, f, (r, im, *scratch) = alpha[:m], fid[rows], (b[:m] for b in floats)
-        np.add(f, _radii(prior, radius, r), out=a.real)
-        np.multiply(noise.standard_normal(out=im), NOISE_STD, out=a.imag)
+        a, f, (w_re, w_im, *scratch) = alpha[:m], fid[rows], (b[:m] for b in floats)
+        np.multiply(real.standard_normal(out=w_re), NOISE_STD, out=w_re)
+        np.add(f, w_re, out=a.real)
+        np.multiply(imag.standard_normal(out=w_im), NOISE_STD, out=a.imag)
         # A guess far from its input overflows, or its |guess - r|^2 does;
         # exp(-inf) = 0 is exact. The radii and the imaginary noise, now in
         # a, are spent, so the guess factor may use their buffers.
         with np.errstate(over="ignore"):
-            factor = strategy.guess_factor(a, r, im, *scratch)
+            factor = strategy.guess_factor(a, f, w_im, *scratch)
             # d = (c - 1)(r + w_re) + w_re + i c w_im. An array factor c
-            # is r's buffer, so c - 1 is taken in place.
+            # is f's buffer, so c - 1 is taken in place.
             np.multiply(a.imag, factor, out=a.imag)
             factor -= 1.0
             np.multiply(a.real, factor, out=a.real)
-            np.add(a.real, f, out=a.real)
+            np.add(a.real, w_re, out=a.real)
             overlap(a, out=f)
 
 
@@ -235,7 +218,7 @@ def simulate(prior: Prior, strategy: Strategy, n: int, seed: int, workers: int =
 
     def run_chunk(index: int, buffers):
         f, *block = buffers
-        _round(prior, strategy, seed, index, f, block)
+        _round(strategy, seed, index, _radii(prior, seeded_stream(seed, index), f), block)
         return float(np.sum(f)), float(np.sum(np.square(f, out=f)))
 
     total = 0.0
@@ -281,14 +264,14 @@ def generate_dataset(radius: float, n: int, model: Constant | Strategy, seed: in
         # Chunks write disjoint slices, so workers share the arrays safely.
         count = min(CHUNK_SIZE, n - index * CHUNK_SIZE)
         rows = slice(index * CHUNK_SIZE, index * CHUNK_SIZE + count)
-        radius, angle = seeded_stream(seed, index), _cursor(seed, index, count)
+        inputs = seeded_stream(seed, index)
+        radii = _radii(prior, inputs, fid[rows])
         for part in _blocks(count):
-            m = part.stop - part.start
-            _turn(_radii(prior, radius, block[1][:m]), angle, beta[rows][part], block[2][:m])
+            _turn(radii[part], inputs, beta[rows][part], block[1][:part.stop - part.start])
         if isinstance(model, Constant):
             fid[rows] = model.value
         else:
-            _round(prior, model, seed, index, fid[rows], block)
+            _round(model, seed, index, radii, block)
 
     _map_chunks(run_chunk, n, workers, _BLOCK_SET)
     return Dataset(beta.real, beta.imag, fid)

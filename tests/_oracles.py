@@ -201,17 +201,19 @@ def _factor(strategy, alpha):
         return np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
 
 
-def round_allocating(prior, strategy, rng, count):
+def round_allocating(prior, strategy, streams, count):
     """One chunk of measure-and-prepare rounds, each step allocating its
-    result: prior draw (radius u, angle theta), heterodyne noise (re, im),
-    guess factor c for the outcome alpha of the input radius r on the real
-    axis, and exp(-|d|^2) for the difference d = guess - r, written as
+    result: prior draw (radius u, angle theta) from the first of streams,
+    heterodyne noise re and im from the second and the third, guess factor
+    c for the outcome alpha of the input radius r on the real axis, and
+    exp(-|d|^2) for the difference d = guess - r, written as
     (c - 1)(r + w_re) + w_re + i c w_im so that w_re survives r + w_re
     rounding to r. Returns the turned inputs r exp(i theta) and the
     fidelities."""
-    r, beta = _prior_draw(prior, rng, count)
-    w_re = rng.standard_normal(count) * NOISE_STD
-    w_im = rng.standard_normal(count) * NOISE_STD
+    inputs, real, imag = streams
+    r, beta = _prior_draw(prior, inputs, count)
+    w_re = real.standard_normal(count) * NOISE_STD
+    w_im = imag.standard_normal(count) * NOISE_STD
     alpha = (r + w_re) + 1j * w_im
     c = _factor(strategy, alpha)
     d = np.empty(count, complex)
@@ -222,16 +224,19 @@ def round_allocating(prior, strategy, rng, count):
 
 
 def _chunks(n, seed):
+    """(streams, count) per chunk: chunk i's inputs, real noise and
+    imaginary noise streams, and its number of rounds."""
     for i, start in enumerate(range(0, n, CHUNK_SIZE)):
-        yield seeded_stream(seed, i), min(CHUNK_SIZE, n - start)
+        streams = (seeded_stream(seed, i), seeded_stream(seed, i, 1), seeded_stream(seed, i, 2))
+        yield streams, min(CHUNK_SIZE, n - start)
 
 
 def simulate_allocating(prior, strategy, n, seed):
     """(mean, std_error) of simulate, from round_allocating chunk by chunk,
     summed in chunk order."""
     total = total_sq = 0.0
-    for rng, count in _chunks(n, seed):
-        f = round_allocating(prior, strategy, rng, count)[1]
+    for streams, count in _chunks(n, seed):
+        f = round_allocating(prior, strategy, streams, count)[1]
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))
     mean = total / n
@@ -244,9 +249,9 @@ def dataset_allocating(prior, n, model, seed):
     """generate_dataset's columns (beta, fidelity), from round_allocating
     chunk by chunk."""
     parts = []
-    for rng, count in _chunks(n, seed):
+    for streams, count in _chunks(n, seed):
         if isinstance(model, Constant):
-            parts.append((_prior_draw(prior, rng, count)[1], np.full(count, model.value)))
+            parts.append((_prior_draw(prior, streams[0], count)[1], np.full(count, model.value)))
         else:
-            parts.append(round_allocating(prior, model, rng, count))
+            parts.append(round_allocating(prior, model, streams, count))
     return np.concatenate([b for b, _ in parts]), np.concatenate([f for _, f in parts])

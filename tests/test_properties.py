@@ -7,15 +7,22 @@ stays reproducible.
 """
 
 import cmath
+import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telebound import (Gain, GaussianIso, RadialCurve, TruncatedGaussian, UniformDisk,
-                       apply_strategy, average_fidelity_quad, fidelity_kernel, gain_fidelity,
-                       simulate)
+from telebound import (Dataset, DatasetFormatError, Gain, GaussianIso, RadialCurve,
+                       TruncatedGaussian, UniformDisk, apply_strategy, average_fidelity_quad,
+                       fidelity_kernel, gain_fidelity, load_dataset, simulate, write_dataset)
+from telebound import data
+from telebound.data import CSV_HEADER
 from telebound.quadrature import BetaRule, QuadratureSpec
+
+from _oracles import _read_lines
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -144,3 +151,114 @@ class TestSimulateAgreesWithQuadrature:
         est = simulate(prior, strategy, 1 << 16, seed)
         quad = average_fidelity_quad(prior, strategy)
         assert abs(est.mean - quad.value) <= 5.0 * est.std_error + quad.error_estimate
+
+
+def _sides(x):
+    """x and the doubles either side of it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Signed zeros, subnormals and both sides of the writer's split: orjson
+# writes the rows whose values are all 0 or inside 1e-4 <= |x| < 1e16, and
+# repr the others.
+SMALL = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, *_sides(1e-4)]
+AMPLITUDE_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                             st.sampled_from([sign * x for x in SMALL + _sides(1e16)
+                                              for sign in (1.0, -1.0)]))
+FIDELITY_VALUES = st.one_of(st.floats(0.0, 1.0), st.sampled_from(SMALL + [1.0]))
+
+
+def rows(max_size):
+    """Lists of 1 to max_size records (beta_re, beta_im, fidelity)."""
+    return st.lists(st.tuples(AMPLITUDE_VALUES, AMPLITUDE_VALUES, FIDELITY_VALUES), min_size=1,
+                    max_size=max_size)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "ds.csv"
+
+
+class TestCsvRoundTrip:
+    """write_dataset writes each double so that load_dataset reads it back."""
+
+    @PROPERTY
+    @given(rows(12))
+    def test_write_then_load_is_bit_exact(self, csv_path, records):
+        columns = [np.array(column, dtype=float) for column in zip(*records)]
+        write_dataset(csv_path, Dataset(*columns))
+        got = load_dataset(csv_path)
+        for a, b in zip((got.beta_re, got.beta_im, got.fidelity), columns):
+            assert a.tobytes() == b.tobytes()
+
+
+# Spellings of one double that float() reads back to it. Those that JSON
+# also reads (repr, an E exponent, a nonzero integer, padding) keep a block
+# on orjson; the others send it line by line.
+SPELLINGS = ("repr", "repr", "repr", "integer", "plus", "leading-point", "trailing-point",
+             "upper-e", "exponent")
+
+
+def _spell(value: float, how: str) -> str:
+    text = repr(value)
+    if how == "integer" and value.is_integer():
+        return ("-" if math.copysign(1.0, value) < 0.0 else "") + str(abs(int(value)))
+    if how == "plus" and not text.startswith("-"):
+        return "+" + text
+    if how == "leading-point" and text.lstrip("-").startswith("0."):
+        return text.replace("0.", ".", 1)
+    if how == "trailing-point" and text.endswith(".0"):
+        return text[:-1]
+    if how == "upper-e":
+        return text.upper()
+    if how == "exponent" and "e" not in text:
+        return text + "E+0"
+    return text
+
+
+@st.composite
+def spelled_lines(draw):
+    """(records, lines): records of doubles, fidelities in [0, 1], and the
+    CSV lines that spell them, each field in a drawn spelling padded with
+    spaces or tabs, each line ended by LF, CRLF or a bare CR."""
+    records = draw(rows(4))
+    pad = st.text(" \t", max_size=2)
+    lines = []
+    for record in records:
+        fields = [draw(pad) + _spell(v, draw(st.sampled_from(SPELLINGS))) + draw(pad) for v in record]
+        lines.append((",".join(fields) + draw(st.sampled_from(["\n", "\r\n", "\r"]))).encode())
+    return records, lines
+
+
+class TestCsvReadersAgree:
+    """load_dataset's orjson block parser and its line parser read the same
+    files to the same doubles."""
+
+    @PROPERTY
+    @given(spelled_lines())
+    def test_block_parser_reads_what_the_line_parser_reads(self, case):
+        records, lines = case
+        by_line = data._parse_lines(lines, 2)
+        assert by_line.tobytes() == np.array(records, dtype=float).tobytes()
+        by_block = data._parse_block(b"".join(lines))
+        assert by_block is None or by_block.tobytes() == by_line.tobytes()
+
+    @settings(PROPERTY, max_examples=100)
+    @given(spelled_lines(), spelled_lines(),
+           st.sampled_from(["0,oops,0.5", "0.5,0.5,1.5", "0.5,0.5,-1e-300", "0.5,0.5",
+                            "0.5,0.5,0.5,0.5", "nan,0,0.5", "0,inf,0.5", "1e400,0,0.5",
+                            "0,0,true", "0,0,null", "[1],0,0.5", "0,0,0.5\x00", "0.\xff5,0,0.5"]),
+           st.sampled_from([1, 7, 40, data.BLOCK_SIZE]))
+    def test_a_defective_line_is_named_as_the_line_reader_names_it(self, csv_path, before, after,
+                                                                 bad, block_size):
+        text = [",".join(CSV_HEADER).encode() + b"\n", *before[1],
+                bad.encode("latin-1") + b"\n", *after[1]]
+        csv_path.write_bytes(b"".join(text))
+        with open(csv_path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+            with pytest.raises(DatasetFormatError) as expected:
+                _read_lines(fh)
+        assert str(expected.value).startswith(f"line {len(before[1]) + 2}: ")
+        with mock.patch.object(data, "BLOCK_SIZE", block_size):
+            with pytest.raises(DatasetFormatError) as got:
+                load_dataset(csv_path)
+        assert str(got.value) == str(expected.value)

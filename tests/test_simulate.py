@@ -300,8 +300,8 @@ class TestInPlaceRounds:
     @pytest.mark.parametrize("prior", [UniformDisk(2.0), TruncatedGaussian(0.5, 2.0),
                                        GaussianIso(0.3)], ids=["disk", "truncated", "plane"])
     @pytest.mark.parametrize("strategy", [Gain(0.6), CURVE], ids=["gain", "curve"])
-    # A chunk of count rounds reads its angles and its noise through cursors
-    # at count and 2 count draws: the lengths cover every remainder mod 4.
+    # One round, part of a block, one whole chunk, and chunks followed by a
+    # short last chunk of 2 and of 7 rounds.
     @pytest.mark.parametrize("n", [1, 1000, CHUNK_SIZE, CHUNK_SIZE + 2, 3 * CHUNK_SIZE + 7])
     def test_simulate_matches_allocating_rounds(self, prior, strategy, n):
         expected = [v.hex() for v in simulate_allocating(prior, strategy, n, seed=17)]

@@ -69,6 +69,18 @@ def test_random_streams_are_built_only_by_seeded_stream():
     assert found == []
 
 
+def test_random_streams_are_read_front_to_back():
+    # Each segment of random draws has a stream of its own, so no stream is
+    # moved past draws it has not made.
+    found = []
+    for path in MODULES:
+        for func, call in _nodes(_tree(path), ast.Call):
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name in ("advance", "random_raw"):
+                found.append(f"{path.name}:{call.lineno} calls {name} in {func}")
+    assert found == []
+
+
 def test_only_core_tests_a_strategy_type():
     # A strategy carries its guess factor and kinks, so no other module has
     # to ask which one it holds; the closed form for a gain is the exception.
